@@ -375,6 +375,15 @@ let json_string s =
   Buffer.add_char b '"';
   Buffer.contents b
 
+(* RFC 8259 has no token for NaN or the infinities (%g would print
+   nan/inf/-inf); emit them as the strings the exposition format uses,
+   as the +Inf bucket bound always was. *)
+let json_float x =
+  if Float.is_finite x then fmt_float x
+  else if Float.is_nan x then "\"NaN\""
+  else if x > 0. then "\"+Inf\""
+  else "\"-Inf\""
+
 let json_labels labels =
   "{"
   ^ String.concat ","
@@ -394,28 +403,27 @@ let json () =
           Buffer.add_string counters
             (Printf.sprintf "{\"name\":%s,\"labels\":%s,\"value\":%s}"
                (json_string m.name) (json_labels m.labels)
-               (fmt_float (Counter.value c)))
+               (json_float (Counter.value c)))
       | Kgauge g ->
           sep gauges;
           Buffer.add_string gauges
             (Printf.sprintf "{\"name\":%s,\"labels\":%s,\"value\":%s}"
                (json_string m.name) (json_labels m.labels)
-               (fmt_float (Gauge.value g)))
+               (json_float (Gauge.value g)))
       | Khistogram h ->
           sep hists;
           let buckets =
             Array.to_list (Histogram.bucket_counts h)
             |> List.map (fun (upper, cum) ->
                    Printf.sprintf "{\"le\":%s,\"count\":%d}"
-                     (if Float.is_finite upper then fmt_float upper else "\"+Inf\"")
-                     cum)
+                     (json_float upper) cum)
             |> String.concat ","
           in
           Buffer.add_string hists
             (Printf.sprintf
                "{\"name\":%s,\"labels\":%s,\"count\":%d,\"sum\":%s,\"buckets\":[%s]}"
                (json_string m.name) (json_labels m.labels) (Histogram.count h)
-               (fmt_float (Histogram.sum h))
+               (json_float (Histogram.sum h))
                buckets))
     (sorted_metrics ());
   Printf.sprintf "{\"counters\":[%s],\"gauges\":[%s],\"histograms\":[%s]}\n"

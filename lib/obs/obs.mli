@@ -160,7 +160,9 @@ val prometheus : unit -> string
 val json : unit -> string
 (** The registry as a JSON object
     [{"counters": [...], "gauges": [...], "histograms": [...]}], same
-    ordering as {!prometheus}. *)
+    ordering as {!prometheus}.  JSON has no NaN or infinity tokens, so
+    non-finite values are emitted as the strings ["NaN"], ["+Inf"] and
+    ["-Inf"]. *)
 
 val write : string -> unit
 (** Write a snapshot to a destination: ["-"] prints Prometheus text to

@@ -32,8 +32,6 @@ let test_r2_concurrency () =
     (lint ~path:"lib/stats/pool.ml" "let c = Atomic.make 0\n");
   check_diags "sanctioned under lib/obs/" []
     (lint ~path:"lib/obs/obs.ml" "let c = Atomic.make 0\n");
-  check_diags "sanctioned in the sweep chunk driver" []
-    (lint ~path:"lib/em/em_sweep.ml" "let k = Domain.DLS.new_key (fun () -> 0)\n");
   check_diags "sanctioned under lib/fleet/" []
     (lint ~path:"lib/fleet/workspace_cache.ml"
        "let k = Domain.DLS.new_key (fun () -> 0)\n");
@@ -41,7 +39,10 @@ let test_r2_concurrency () =
     (lint ~path:"lib/sketch/front.ml"
        "let k = Domain.DLS.new_key (fun () -> 0)\n");
   check_diags "other em modules are not a concurrency home" [ (1, "R2") ]
-    (lint ~path:"lib/em/em_kernel.ml" "let k = Domain.DLS.new_key (fun () -> 0)\n")
+    (lint ~path:"lib/em/em_kernel.ml" "let k = Domain.DLS.new_key (fun () -> 0)\n");
+  check_diags "par.ml routes through the pool, not a concurrency home"
+    [ (1, "R2") ]
+    (lint ~path:"lib/stats/par.ml" "let d = Domain.spawn ignore\n")
 
 let test_r3_float_cmp () =
   check_diags "= against a float literal" [ (1, "R3") ]
@@ -216,99 +217,6 @@ let test_cli_changed_files () =
 
 (* --- SARIF -------------------------------------------------------------- *)
 
-(* Minimal recursive-descent JSON syntax checker: enough to prove the
-   exporter emits a well-formed document without a JSON dependency. *)
-let json_valid s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        incr pos;
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c = if peek () = Some c then incr pos else raise Exit in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' -> obj ()
-    | Some '[' -> arr ()
-    | Some '"' -> str ()
-    | Some ('-' | '0' .. '9') -> number ()
-    | Some 't' -> lit "true"
-    | Some 'f' -> lit "false"
-    | Some 'n' -> lit "null"
-    | _ -> raise Exit
-  and lit w = String.iter expect w
-  and number () =
-    let num = function
-      | Some ('0' .. '9' | '-' | '+' | '.' | 'e' | 'E') -> true
-      | _ -> false
-    in
-    while num (peek ()) do
-      incr pos
-    done
-  and str () =
-    expect '"';
-    let rec go () =
-      match peek () with
-      | Some '"' -> incr pos
-      | Some '\\' ->
-          incr pos;
-          if peek () = None then raise Exit;
-          incr pos;
-          go ()
-      | Some _ ->
-          incr pos;
-          go ()
-      | None -> raise Exit
-    in
-    go ()
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if peek () = Some '}' then incr pos
-    else
-      let rec fields () =
-        skip_ws ();
-        str ();
-        skip_ws ();
-        expect ':';
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-            incr pos;
-            fields ()
-        | Some '}' -> incr pos
-        | _ -> raise Exit
-      in
-      fields ()
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if peek () = Some ']' then incr pos
-    else
-      let rec items () =
-        value ();
-        skip_ws ();
-        match peek () with
-        | Some ',' ->
-            incr pos;
-            items ()
-        | Some ']' -> incr pos
-        | _ -> raise Exit
-      in
-      items ()
-  in
-  try
-    value ();
-    skip_ws ();
-    !pos = n
-  with Exit -> false
-
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -321,7 +229,7 @@ let test_sarif_document () =
   in
   Alcotest.(check int) "probe source fires two rules" 2 (List.length diags);
   let s = Dcl_lint.Sarif.to_string diags in
-  Alcotest.(check bool) "SARIF parses as JSON" true (json_valid s);
+  Alcotest.(check bool) "SARIF parses as JSON" true (Json_check.valid s);
   List.iter
     (fun field ->
       Alcotest.(check bool) (Printf.sprintf "SARIF carries %s" field) true
@@ -346,7 +254,7 @@ let test_sarif_document () =
       "[io-containment]";
     ];
   Alcotest.(check bool) "an empty run still parses" true
-    (json_valid (Dcl_lint.Sarif.to_string []))
+    (Json_check.valid (Dcl_lint.Sarif.to_string []))
 
 let () =
   Alcotest.run "lint"

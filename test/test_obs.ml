@@ -309,129 +309,6 @@ let prometheus_label_roundtrip =
 
 (* --- JSON exporters ------------------------------------------------------ *)
 
-(* Minimal RFC 8259 well-formedness checker, enough to prove the
-   exporters emit parseable JSON without a json-library dependency. *)
-let json_valid s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail = ref false in
-  let peek () = if !pos < n then s.[!pos] else '\255' in
-  let adv () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n
-      && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let expect c = if peek () = c then adv () else fail := true in
-  let hex c =
-    (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
-  in
-  let string_lit () =
-    expect '"';
-    let fin = ref false in
-    while (not !fin) && not !fail do
-      if !pos >= n then fail := true
-      else
-        match s.[!pos] with
-        | '"' ->
-            adv ();
-            fin := true
-        | '\\' -> (
-            adv ();
-            match peek () with
-            | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' -> adv ()
-            | 'u' ->
-                adv ();
-                for _ = 1 to 4 do
-                  if !pos < n && hex s.[!pos] then adv () else fail := true
-                done
-            | _ -> fail := true)
-        | c when Char.code c < 0x20 -> fail := true
-        | _ -> adv ()
-    done
-  in
-  let number () =
-    if peek () = '-' then adv ();
-    let digits () =
-      if not (peek () >= '0' && peek () <= '9') then fail := true;
-      while peek () >= '0' && peek () <= '9' do
-        adv ()
-      done
-    in
-    digits ();
-    if peek () = '.' then begin
-      adv ();
-      digits ()
-    end;
-    match peek () with
-    | 'e' | 'E' ->
-        adv ();
-        (match peek () with '+' | '-' -> adv () | _ -> ());
-        digits ()
-    | _ -> ()
-  in
-  let literal lit =
-    let ln = String.length lit in
-    if !pos + ln <= n && String.sub s !pos ln = lit then pos := !pos + ln
-    else fail := true
-  in
-  let rec value d =
-    if d > 64 || !fail then fail := true
-    else begin
-      skip_ws ();
-      match peek () with
-      | '{' ->
-          adv ();
-          skip_ws ();
-          if peek () = '}' then adv ()
-          else begin
-            let cont = ref true in
-            while !cont && not !fail do
-              skip_ws ();
-              string_lit ();
-              skip_ws ();
-              expect ':';
-              value (d + 1);
-              skip_ws ();
-              match peek () with
-              | ',' -> adv ()
-              | '}' ->
-                  adv ();
-                  cont := false
-              | _ -> fail := true
-            done
-          end
-      | '[' ->
-          adv ();
-          skip_ws ();
-          if peek () = ']' then adv ()
-          else begin
-            let cont = ref true in
-            while !cont && not !fail do
-              value (d + 1);
-              skip_ws ();
-              match peek () with
-              | ',' -> adv ()
-              | ']' ->
-                  adv ();
-                  cont := false
-              | _ -> fail := true
-            done
-          end
-      | '"' -> string_lit ()
-      | 't' -> literal "true"
-      | 'f' -> literal "false"
-      | 'n' -> literal "null"
-      | _ -> number ()
-    end
-  in
-  value 0;
-  skip_ws ();
-  (not !fail) && !pos = n
-
 let test_json_exports_well_formed () =
   Obs.set_enabled true;
   let hostile = "a\"b\\c\nd\te\011f" in
@@ -441,7 +318,7 @@ let test_json_exports_well_formed () =
   in
   Obs.Counter.incr c;
   Alcotest.(check bool) "Obs.json with hostile labels parses" true
-    (json_valid (Obs.json ()));
+    (Json_check.valid (Obs.json ()));
   Obs.Trace.set_capacity 64;
   Obs.Trace.set_enabled true;
   Obs.Trace.clear ();
@@ -451,7 +328,52 @@ let test_json_exports_well_formed () =
   Obs.Trace.counter "test.json" 3;
   Obs.Trace.set_enabled false;
   Alcotest.(check bool) "Trace.chrome_json with hostile details parses" true
-    (json_valid (Obs.Trace.chrome_json ()))
+    (Json_check.valid (Obs.Trace.chrome_json ()))
+
+(* Obs.Gauge.set and Histogram.observe accept any float; JSON has no
+   token for the non-finite ones, so the exporter must quote them. *)
+let test_json_non_finite_values () =
+  Obs.set_enabled true;
+  List.iter
+    (fun (label, v) ->
+      Obs.Gauge.set (Obs.Gauge.make ~labels:[ ("v", label) ] "test_obs_nonfinite") v)
+    [ ("nan", Float.nan); ("inf", Float.infinity); ("-inf", Float.neg_infinity) ];
+  Obs.Histogram.observe (Obs.Histogram.make "test_obs_nonfinite_seconds") Float.infinity;
+  let j = Obs.json () in
+  Alcotest.(check bool) "Obs.json with non-finite values parses" true
+    (Json_check.valid j)
+
+(* The validator must reject, not just accept: a checker that always
+   said yes would pass every export test above. *)
+let test_json_check_rejects () =
+  let deep k = String.make k '[' ^ String.make k ']' in
+  List.iter
+    (fun (what, doc) ->
+      Alcotest.(check bool) ("accepts " ^ what) true (Json_check.valid doc))
+    [
+      ("numbers", "[0, -0, 1.5e-3, -12E+2, 10]");
+      ("escapes", {|" \" \\ \/ \n \u00e9 "|});
+      ("literals", " {\"a\": [true, false, null]} ");
+      ("depth 64", deep Json_check.max_depth);
+    ];
+  List.iter
+    (fun (what, doc) ->
+      Alcotest.(check bool) ("rejects " ^ what) false (Json_check.valid doc))
+    [
+      ("leading zero", "[01]");
+      ("trailing comma in array", "[1, 2,]");
+      ("trailing comma in object", "{\"a\": 1,}");
+      ("raw control byte", "\"a\001b\"");
+      ("OCaml decimal escape", {|"\127"|});
+      ("bare nan", "[nan]");
+      ("bare inf", "[inf]");
+      ("bare -inf", "[-inf]");
+      ("unterminated string", "[\"abc");
+      ("depth 65", deep (Json_check.max_depth + 1));
+      ("empty document", "");
+      ("two values", "1 2");
+      ("fraction without digits", "[1.]");
+    ]
 
 (* --- flight recorder ----------------------------------------------------- *)
 
@@ -599,6 +521,10 @@ let () =
           q prometheus_label_roundtrip;
           Alcotest.test_case "json exporters well-formed" `Quick
             test_json_exports_well_formed;
+          Alcotest.test_case "json non-finite values" `Quick
+            test_json_non_finite_values;
+          Alcotest.test_case "json validator rejects" `Quick
+            test_json_check_rejects;
         ] );
       ( "trace",
         [
