@@ -6,9 +6,10 @@
    BENCH_fleet.smoke.json with --smoke.
 
    Schema is documented in DESIGN.md ("BENCH_fleet.json").  The bench
-   aborts (exit 1) if any pooled run diverges from the serial one, or
-   if the incremental path fails its speedup floor (>= 1x in smoke,
-   >= 5x in the full run). *)
+   aborts (exit 1) if any pooled run diverges from the serial one, if
+   the incremental path fails its speedup floor (>= 1x in smoke, >= 5x
+   in the full run), or if a steady-state path update allocates more
+   than its bound. *)
 
 let time_of f =
   let t0 = Obs.Span.now_ns () in
@@ -47,6 +48,74 @@ let run_fleet ?gate ~domains ~paths ~epochs ~epoch_len ~seed () =
     ignore (Fleet.Scheduler.tick sched : int)
   done;
   (Fleet.Scheduler.fingerprint sched, Buffer.contents log)
+
+(* Steady-state allocation of one [Path_state.update], in bytes: a
+   deterministic work counter, so unlike the wall-clock legs it can gate
+   a regression on any machine.  Measured on the calling domain before
+   any pool domain exists ([Gc.minor_words] is read as an immediate and
+   counts this domain only), over epochs 1.. of a seeded fleet: epoch 0
+   holds the informed initializations, the workspace growth and the
+   timelines' first records, which a long-running path pays once. *)
+let alloc_paths = 256
+let alloc_epochs = 12
+let alloc_epoch_len = 16
+
+(* Between the ~3.0 KB a steady-state update allocated when it built a
+   fresh model and a boxed timeline entry every epoch and the ~1.1 KB
+   of the in-place update (mostly the re-test's short-lived values,
+   which run from the fifth epoch on, once the decayed weight passes
+   [min_weight]). *)
+let alloc_bound_bytes = 2048.
+
+let minor_words () = int_of_float (Gc.minor_words ())
+
+let run_alloc buf =
+  let rng = Stats.Rng.create 0xA110C in
+  let src = Fleet.Source.synthetic ~rng ~paths:alloc_paths () in
+  let config = Fleet.Path_state.config ~scheme:(Fleet.Source.scheme src) () in
+  let states =
+    Array.init alloc_paths (fun _ ->
+        Fleet.Path_state.create config ~rng:(Stats.Rng.split rng))
+  in
+  let ws =
+    Fleet.Workspace_cache.get ~s:(Fleet.Path_state.states config)
+      ~m:config.Fleet.Path_state.m
+  in
+  let batches =
+    Array.init alloc_epochs (fun _ ->
+        Array.init alloc_paths (fun path ->
+            Fleet.Source.pull src ~path ~len:alloc_epoch_len))
+  in
+  let epoch e =
+    Array.iteri
+      (fun p st ->
+        ignore (Fleet.Path_state.update ~ws ~epoch:e st batches.(e).(p) : bool))
+      states
+  in
+  epoch 0;
+  let w0 = minor_words () in
+  for e = 1 to alloc_epochs - 1 do
+    epoch e
+  done;
+  let words = minor_words () - w0 in
+  let updates = alloc_paths * (alloc_epochs - 1) in
+  let bytes_per_update =
+    float_of_int (words * (Sys.word_size / 8)) /. float_of_int updates
+  in
+  Printf.bprintf buf
+    "  \"alloc\": {\"paths\": %d, \"epochs\": %d, \"epoch_len\": %d,\n\
+    \    \"counted_updates\": %d, \"bytes_per_update\": %.1f,\n\
+    \    \"bound_bytes_per_update\": %.0f},\n"
+    alloc_paths alloc_epochs alloc_epoch_len updates bytes_per_update
+    alloc_bound_bytes;
+  Printf.eprintf "bench_fleet: steady-state update allocates %.1f B\n%!"
+    bytes_per_update;
+  if bytes_per_update > alloc_bound_bytes then begin
+    Printf.eprintf
+      "FATAL: steady-state update alloc %.1f B above the %.0f B bound\n"
+      bytes_per_update alloc_bound_bytes;
+    exit 1
+  end
 
 let run_determinism ~smoke buf =
   let paths = if smoke then 64 else 256 in
@@ -445,6 +514,8 @@ let () =
   Printf.bprintf buf "{\n  \"bench\": \"fleet\",\n  \"cores\": %d,\n"
     (Stats.Pool.size ());
   if not gated_only then begin
+    (* First: the allocation count needs a domain with no pool yet. *)
+    run_alloc buf;
     run_determinism ~smoke buf;
     run_speedup ~smoke buf;
     run_scale ~smoke buf;
@@ -455,9 +526,12 @@ let () =
      stays as cheap as it was. *)
   if gated_only || not smoke then run_gated ~smoke buf;
   Printf.bprintf buf
-    "  \"note\": \"determinism re-runs the same seeded fleet serially and on \
-     2/4/8 pool domains and requires bitwise-equal model fingerprints and \
-     transition logs. incremental_vs_refit feeds one pre-generated stream \
+    "  \"note\": \"alloc counts minor-heap bytes per steady-state \
+     Path_state.update (epochs after the first of a seeded 256-path fleet, \
+     one domain, before the pool starts) and requires bytes_per_update <= \
+     bound_bytes_per_update. determinism re-runs the same seeded fleet \
+     serially and on 2/4/8 pool domains and requires bitwise-equal model \
+     fingerprints and transition logs. incremental_vs_refit feeds one pre-generated stream \
      through the streaming scheduler (one online-EM iteration per epoch, \
      re-tests included) and through per-epoch full-history refits \
      (informed init, eps 1e-3, re-tests excluded); the speedup floor is 1x \

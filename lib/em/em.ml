@@ -231,6 +231,11 @@ let em_step ~(ws : workspace) ~update_b (t : model) obs =
    [append] runs one serial forward–backward sweep over the new batch
    only, so the per-epoch cost is O(batch), not O(history). *)
 module Incremental = struct
+  (* The decayed running totals sit in an all-float record, whose fields
+     are stored unboxed: rewriting them every epoch allocates nothing
+     and leaves no boxed float for the minor collector to promote. *)
+  type totals = { mutable weight : float; mutable log_likelihood : float }
+
   type stats = {
     s : int;
     m : int;
@@ -240,9 +245,9 @@ module Incremental = struct
     count_loss : float array; (* s*m *)
     pi0 : float array; (* s, decayed batch-start posteriors *)
     fend : float array; (* s, filtered distribution at the last instant *)
+    carry_pi : float array; (* s, scratch for the carried prior A^T fend *)
     mutable primed : bool; (* [fend] holds a real distribution *)
-    mutable weight : float;
-    mutable log_likelihood : float;
+    totals : totals;
     mutable batches : int;
   }
 
@@ -258,9 +263,9 @@ module Incremental = struct
       count_loss = Array.make (s * m) 0.;
       pi0 = Array.make s 0.;
       fend = Array.make s 0.;
+      carry_pi = Array.make s 0.;
       primed = false;
-      weight = 0.;
-      log_likelihood = 0.;
+      totals = { weight = 0.; log_likelihood = 0. };
       batches = 0;
     }
 
@@ -272,8 +277,8 @@ module Incremental = struct
     Array.fill st.pi0 0 st.s 0.;
     Array.fill st.fend 0 st.s 0.;
     st.primed <- false;
-    st.weight <- 0.;
-    st.log_likelihood <- 0.;
+    st.totals.weight <- 0.;
+    st.totals.log_likelihood <- 0.;
     st.batches <- 0
 
   let scale_into a lambda =
@@ -291,8 +296,8 @@ module Incremental = struct
     scale_into st.count_obs lambda;
     scale_into st.count_loss lambda;
     scale_into st.pi0 lambda;
-    st.weight <- st.weight *. lambda;
-    st.log_likelihood <- st.log_likelihood *. lambda
+    st.totals.weight <- st.totals.weight *. lambda;
+    st.totals.log_likelihood <- st.totals.log_likelihood *. lambda
 
   let dims_check name st (t : model) =
     if t.s <> st.s || t.m <> st.m then
@@ -312,7 +317,7 @@ module Incremental = struct
        forward likelihood itself factorizes exactly). *)
     let t =
       if carry && st.primed then begin
-        let pi = Array.make s 0. in
+        let pi = st.carry_pi in
         for dst = 0 to s - 1 do
           let acc = ref 0. in
           for src = 0 to s - 1 do
@@ -365,67 +370,85 @@ module Incremental = struct
       st.fend.(state) <- Ba.get ws.alpha (rowl + state)
     done;
     st.primed <- true;
-    st.weight <- st.weight +. float_of_int tt;
-    st.log_likelihood <- st.log_likelihood +. ll;
+    st.totals.weight <- st.totals.weight +. float_of_int tt;
+    st.totals.log_likelihood <- st.totals.log_likelihood +. ll;
     st.batches <- st.batches + 1;
     Obs.Trace.span_end "em.append";
     ll
 
   (* Mirror of [em_step]'s M-step, reading the decayed accumulators:
      with [lambda = 1] and a single appended batch the two produce
-     bit-identical models. *)
-  let m_step ?(update_b = false) st (t : model) =
+     bit-identical models.  Every output cell depends only on the
+     accumulators and on that same cell's old value (the zero-row
+     fallbacks keep it), so overwriting the model's own arrays gives
+     the same bits as writing fresh ones.  The fallback tests keep
+     [em_step]'s polarity ([<= 0.] keeps the old value), so a NaN
+     accumulator takes the same branch in both. *)
+  let m_step_in_place ?(update_b = false) st (t : model) =
     dims_check "Em.Incremental.m_step" st t;
     if st.batches = 0 then
       invalid_arg "Em.Incremental.m_step: no appended batch";
     let s = st.s and m = st.m in
-    let pi_sum = Array.fold_left ( +. ) 0. st.pi0 in
-    let pi' =
-      if pi_sum > 0. then Array.map (fun p -> p /. pi_sum) st.pi0
-      else Array.copy t.pi
-    in
-    let a' = Array.make (s * s) 0. in
+    let pi_sum = ref 0. in
+    for state = 0 to s - 1 do
+      pi_sum := !pi_sum +. st.pi0.(state)
+    done;
+    let pi_sum = !pi_sum in
+    if pi_sum > 0. then
+      for state = 0 to s - 1 do
+        t.pi.(state) <- st.pi0.(state) /. pi_sum
+      done;
     for state = 0 to s - 1 do
       let off = state * s in
       let g = st.gamma_sum.(state) in
-      if g <= 0. then Array.blit t.a off a' off s
+      if g <= 0. then ()
       else begin
         let inv = 1. /. g in
         for k = 0 to s - 1 do
-          a'.(off + k) <- st.xi.(off + k) *. inv
+          t.a.(off + k) <- st.xi.(off + k) *. inv
         done;
-        floor_normalize a' off s
+        floor_normalize t.a off s
       end
     done;
-    let b' =
-      if not update_b then t.b
-      else begin
-        let b' = Array.make (s * m) 0. in
-        for state = 0 to s - 1 do
-          let off = state * m in
-          let sum = ref 0. in
-          for j = 0 to m - 1 do
-            let v = st.count_obs.(off + j) +. st.count_loss.(off + j) in
-            b'.(off + j) <- v;
-            sum := !sum +. v
-          done;
-          if !sum <= 0. then Array.blit t.b off b' off m
-          else floor_normalize b' off m
+    if update_b then
+      for state = 0 to s - 1 do
+        let off = state * m in
+        (* The row total decides the fallback before any cell of the
+           old row is overwritten. *)
+        let sum = ref 0. in
+        for j = 0 to m - 1 do
+          sum := !sum +. (st.count_obs.(off + j) +. st.count_loss.(off + j))
         done;
-        b'
-      end
-    in
-    let c' =
-      Array.init m (fun j ->
-          let lost = ref 0. and seen = ref 0. in
-          for state = 0 to s - 1 do
-            let l = st.count_loss.((state * m) + j) in
-            lost := !lost +. l;
-            seen := !seen +. st.count_obs.((state * m) + j) +. l
+        if !sum <= 0. then ()
+        else begin
+          for j = 0 to m - 1 do
+            t.b.(off + j) <- st.count_obs.(off + j) +. st.count_loss.(off + j)
           done;
-          if !seen <= 0. then t.c.(j) else clamp_c (!lost /. !seen))
+          floor_normalize t.b off m
+        end
+      done;
+    for j = 0 to m - 1 do
+      let lost = ref 0. and seen = ref 0. in
+      for state = 0 to s - 1 do
+        let l = st.count_loss.((state * m) + j) in
+        lost := !lost +. l;
+        seen := !seen +. st.count_obs.((state * m) + j) +. l
+      done;
+      if !seen <= 0. then () else t.c.(j) <- clamp_c (!lost /. !seen)
+    done
+
+  let m_step ?(update_b = false) st (t : model) =
+    let t' =
+      {
+        t with
+        pi = Array.copy t.pi;
+        a = Array.copy t.a;
+        b = (if update_b then Array.copy t.b else t.b);
+        c = Array.copy t.c;
+      }
     in
-    { t with pi = pi'; a = a'; b = b'; c = c' }
+    m_step_in_place ~update_b st t';
+    t'
 
   let loss_mass st =
     Array.init st.m (fun j ->
@@ -436,13 +459,14 @@ module Incremental = struct
         !acc)
 
   let filtered_end st = Array.copy st.fend
-  let weight st = st.weight
-  let log_likelihood st = st.log_likelihood
+  let weight st = st.totals.weight
+  let log_likelihood st = st.totals.log_likelihood
   let batches st = st.batches
   let xi st = Array.copy st.xi
   let gamma_sum st = Array.copy st.gamma_sum
   let count_obs st = Array.copy st.count_obs
   let count_loss st = Array.copy st.count_loss
+  let pi0 st = Array.copy st.pi0
 end
 
 let max_abs_diff u v =

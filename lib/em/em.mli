@@ -150,13 +150,24 @@ module Incremental : sig
       mismatch, {!Zero_likelihood} on an impossible observation (the
       statistics are untouched in both cases). *)
 
+  val m_step_in_place : ?update_b:bool -> stats -> model -> unit
+  (** Re-estimate the model from the decayed totals, writing the new
+      [pi], [a] and [c] (and [b] when [update_b]) into the model's own
+      arrays: the exact mirror of {!em_step}'s M-step (same zero-row
+      fallbacks, which keep the current value, and same floors), so
+      with [lambda = 1] and a single appended batch the model ends up
+      bit-identical to [em_step model batch].  Allocates nothing: the
+      fleet's per-path update re-estimates one model, allocated once,
+      for the path's lifetime.  Anything else holding the model sees
+      the new values.  [update_b] defaults to [false] (the MMHD case).
+      Raises [Invalid_argument] before the first {!append} or on a
+      dimension mismatch. *)
+
   val m_step : ?update_b:bool -> stats -> model -> model
-  (** Re-estimate the model from the decayed totals: the exact mirror
-      of {!em_step}'s M-step (same zero-row fallbacks to the current
-      parameters, same floors), so with [lambda = 1] and a single
-      appended batch the result is bit-identical to
-      [em_step model batch].  [update_b] defaults to [false] (the MMHD
-      case).  Raises [Invalid_argument] before the first {!append}. *)
+  (** {!m_step_in_place} on a copy: the input model is left untouched
+      and the result is fresh ([b] is shared with the input when
+      [update_b] is [false], as {!em_step} shares it), bit for bit the
+      model [m_step_in_place] would produce. *)
 
   val loss_mass : stats -> float array
   (** Per-symbol virtual-delay mass of the lost probes,
@@ -182,11 +193,13 @@ module Incremental : sig
   (** Copies of the raw decayed accumulators, for tests and
       introspection: transition statistics ([s*s]), transition
       denominators ([s]), per-symbol observation and loss counts
-      ([s*m] each). *)
+      ([s*m] each), and batch-start state posteriors ([s], the [pi]
+      target). *)
 
   val gamma_sum : stats -> float array
   val count_obs : stats -> float array
   val count_loss : stats -> float array
+  val pi0 : stats -> float array
 end
 
 val set_iteration_trace :

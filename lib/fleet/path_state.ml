@@ -49,6 +49,10 @@ let config ?(n = 2) ?(lambda = 0.9) ?params ?(min_weight = 64.)
 
 let states cfg = cfg.n * cfg.m
 
+(* An all-float record stores its field unboxed, so the per-epoch write
+   keeps no boxed float alive for the minor collector to promote. *)
+type last_batch = { mutable log_likelihood : float }
+
 type t = {
   config : config;
   rng : Stats.Rng.t;
@@ -60,7 +64,7 @@ type t = {
   mutable epochs : int;
   mutable observations : int;
   mutable resets : int;
-  mutable last_log_likelihood : float;
+  last_batch : last_batch;
 }
 
 let create config ~rng =
@@ -75,7 +79,7 @@ let create config ~rng =
     epochs = 0;
     observations = 0;
     resets = 0;
-    last_log_likelihood = Float.nan;
+    last_batch = { log_likelihood = Float.nan };
   }
 
 let model t = t.model
@@ -85,7 +89,7 @@ let epochs t = t.epochs
 let observations t = t.observations
 let resets t = t.resets
 let weight t = Em.Incremental.weight t.stats
-let last_log_likelihood t = t.last_log_likelihood
+let last_log_likelihood t = t.last_batch.log_likelihood
 let stats t = t.stats
 let timeline t = t.timeline
 
@@ -99,6 +103,14 @@ let coast t ~factor =
     invalid_arg "Fleet.Path_state.coast: factor must be in [0, 1]";
   if Em.Incremental.batches t.stats > 0 then
     Em.Incremental.decay t.stats ~lambda:factor
+
+(* Constant options compile to static data, so a re-test stores one of
+   three shared values instead of allocating a [Some] the path keeps
+   for epochs. *)
+let some_conclusion = function
+  | Dcl.Identify.Strongly_dominant -> Some Dcl.Identify.Strongly_dominant
+  | Dcl.Identify.Weakly_dominant -> Some Dcl.Identify.Weakly_dominant
+  | Dcl.Identify.No_dominant -> Some Dcl.Identify.No_dominant
 
 let vqd t =
   let mass = Em.Incremental.loss_mass t.stats in
@@ -119,7 +131,7 @@ let retest t =
     | None -> ()
     | Some vqd ->
         let v = Dcl.Identify.conclude ~params:t.config.params vqd in
-        t.conclusion <- Some v.Dcl.Identify.conclusion;
+        t.conclusion <- some_conclusion v.Dcl.Identify.conclusion;
         t.bound <- v.Dcl.Identify.bound
 
 let update ~ws ?epoch t batch =
@@ -128,17 +140,20 @@ let update ~ws ?epoch t batch =
   else begin
     let model =
       match t.model with
-      | Some model -> Some model
+      | Some _ as model -> model
       | None ->
           (* First batch (or post-reset): data-driven starting point.
              An all-loss first batch cannot seed the informed
              initializer; hold the batch's observations back until a
              delay arrives.  Once a model exists, all-loss batches are
              handled by the missing-value emission. *)
-          if Array.exists (fun o -> o <> None) batch then
-            Some
-              (Mmhd.to_em
-                 (Mmhd.init_informed t.rng ~n:t.config.n ~m:t.config.m batch))
+          if Array.exists (fun o -> o <> None) batch then begin
+            t.model <-
+              Some
+                (Mmhd.to_em
+                   (Mmhd.init_informed t.rng ~n:t.config.n ~m:t.config.m batch));
+            t.model
+          end
           else None
     in
     match model with
@@ -151,18 +166,14 @@ let update ~ws ?epoch t batch =
         let was = t.conclusion in
         match Em.Incremental.append ~ws t.stats model batch with
         | ll ->
-            t.last_log_likelihood <- ll;
-            t.model <- Some (Em.Incremental.m_step t.stats model);
+            t.last_batch.log_likelihood <- ll;
+            (* Only the informed init allocates a model: from then on
+               the path re-estimates it in place every epoch. *)
+            Em.Incremental.m_step_in_place t.stats model;
             retest t;
-            Timeline.record t.timeline
-              (Timeline.Update
-                 {
-                   epoch;
-                   verdict = t.conclusion;
-                   log_likelihood = ll;
-                   weight = Em.Incremental.weight t.stats;
-                   bound = t.bound;
-                 });
+            Timeline.record_update t.timeline ~epoch ~verdict:t.conclusion
+              ~log_likelihood:ll ~weight:(Em.Incremental.weight t.stats)
+              ~bound:t.bound;
             t.conclusion <> was
         | exception Em.Zero_likelihood _ ->
             (* The M-step floors make this essentially impossible once a

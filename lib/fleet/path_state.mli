@@ -92,6 +92,11 @@ val vqd : t -> Dcl.Vqd.t option
     accumulated. *)
 
 val model : t -> Em.model option
+(** The live model, [None] before the first delay-bearing batch or
+    after a reset.  {!update} re-estimates it in place
+    ({!Em.Incremental.m_step_in_place}), so its arrays change every
+    epoch: copy them to keep a snapshot. *)
+
 val weight : t -> float
 (** Effective (decayed) observation count behind the statistics. *)
 

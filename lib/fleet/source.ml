@@ -155,6 +155,9 @@ let synthetic ?(templates = 8) ?(congested_fraction = 0.3) ?(m = 5) ~rng ~paths
     rngs.(p) <- Stats.Rng.split rng;
     states.(p) <- draw_row rngs.(p) tpls.(assign.(p)).t_pi ~off:0 ~len:m
   done;
+  (* Options are immutable, so every batch shares one [Some j] per
+     symbol instead of boxing each delivered observation. *)
+  let observed = Array.init m (fun j -> Some j) in
   let pull p len =
     let tpl = tpls.(assign.(p)) in
     let prng = rngs.(p) in
@@ -163,7 +166,8 @@ let synthetic ?(templates = 8) ?(congested_fraction = 0.3) ?(m = 5) ~rng ~paths
     for i = 0 to len - 1 do
       let y = !state in
       batch.(i) <-
-        (if Stats.Sampler.bernoulli prng ~p:tpl.t_c.(y) then None else Some y);
+        (if Stats.Sampler.bernoulli prng ~p:tpl.t_c.(y) then None
+         else observed.(y));
       state := draw_row prng tpl.t_a ~off:(y * m) ~len:m
     done;
     states.(p) <- !state;

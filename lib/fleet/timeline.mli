@@ -6,6 +6,16 @@
     the data behind [dcl-fleetd]'s [/paths/:id] route and the verdict
     history tomography fusion will consume.
 
+    Storage is flat: one slot per retained entry in a handful of
+    columns ([int] arrays for epochs and verdict/streak codes,
+    [Float.Array]s for the log-likelihood, weight and bound, a kind
+    byte that also records whether a bound is present, and a string
+    column for gate causes).  {!record} writes into the columns and
+    {!entries} rebuilds the variants on read, so recording keeps no
+    boxed entry alive.  The columns are allocated by the first
+    {!record} (the cause column by the first gate entry): a path that
+    never records pays only for a small header.
+
     Not synchronized: a timeline is appended to by whichever domain
     currently owns the path (pool workers during the update fan-out,
     the driver for gate events between pool jobs), and those phases
@@ -34,6 +44,20 @@ val create : capacity:int -> t
     [Invalid_argument] if negative. *)
 
 val record : t -> entry -> unit
+(** Append an entry, overwriting the oldest once the ring is full.
+    Writes into the flat columns and allocates nothing once they
+    exist. *)
+
+val record_update :
+  t ->
+  epoch:int ->
+  verdict:Dcl.Identify.conclusion option ->
+  log_likelihood:float ->
+  weight:float ->
+  bound:float option ->
+  unit
+(** [record t (Update {...})] without building the variant: the
+    per-epoch form {!Path_state.update} uses. *)
 
 val entries : t -> entry list
 (** Retained entries, oldest first. *)
@@ -53,4 +77,4 @@ val verdict_name : Dcl.Identify.conclusion option -> string
 val to_json : t -> string
 (** [{"total":_,"capacity":_,"entries":[...]}], entries oldest first.
     Non-finite floats (a pre-first-batch log-likelihood) and absent
-    bounds are [null]. *)
+    bounds are [null]; gate causes are escaped JSON strings. *)

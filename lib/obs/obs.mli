@@ -164,6 +164,11 @@ val json : unit -> string
     non-finite values are emitted as the strings ["NaN"], ["+Inf"] and
     ["-Inf"]. *)
 
+val json_string : string -> string
+(** The string as a quoted RFC 8259 JSON string literal: double
+    quotes and backslashes are backslash-escaped, and control bytes go
+    out as short escapes or [\u00XX]. *)
+
 val write : string -> unit
 (** Write a snapshot to a destination: ["-"] prints Prometheus text to
     stdout; a path ending in [.json] writes JSON; any other path writes

@@ -1,7 +1,8 @@
 (* Tests for the fleet layer: incremental-EM equivalence with the batch
-   sweep, decay semantics, carry factorization, pooled epoch
-   determinism, transition emission, and the per-domain workspace
-   cache. *)
+   sweep, the in-place M-step, steady-state allocation, decay
+   semantics, carry factorization, pooled epoch determinism, transition
+   emission, the per-domain workspace cache, and the diagnosis
+   timeline. *)
 
 (* Oversubscribe the pool so the multi-domain determinism tests spawn
    real workers even on a single-core CI machine. *)
@@ -83,6 +84,220 @@ let test_append_weight_and_counts () =
     +. Array.fold_left ( +. ) 0. (Em.Incremental.count_loss stats)
   in
   Alcotest.(check (float 1e-6)) "posterior mass = T" 120. total
+
+(* --- in-place M-step ------------------------------------------------- *)
+
+let bits a = Array.map Int64.bits_of_float a
+
+(* A free-emission model (the HMM shape, so [update_b] has a row to
+   re-estimate) whose state [dead] is unreachable: its column of [a]
+   and its [pi] entry are zero, so its [gamma_sum] row stays exactly
+   zero and the M-step must fall back to the old [a] and [b] rows. *)
+let random_model rng ~s ~m ~dead =
+  let row n = Array.init n (fun _ -> 0.05 +. Stats.Rng.float rng) in
+  let normalize a off n =
+    let sum = ref 0. in
+    for k = 0 to n - 1 do
+      sum := !sum +. a.(off + k)
+    done;
+    for k = 0 to n - 1 do
+      a.(off + k) <- a.(off + k) /. !sum
+    done
+  in
+  let pi = row s in
+  pi.(dead) <- 0.;
+  normalize pi 0 s;
+  let a = Array.concat (List.init s (fun _ -> row s)) in
+  for src = 0 to s - 1 do
+    a.((src * s) + dead) <- 0.;
+    normalize a (src * s) s
+  done;
+  let b = Array.concat (List.init s (fun _ -> row m)) in
+  for st = 0 to s - 1 do
+    normalize b (st * m) m
+  done;
+  let c = Array.init m (fun _ -> 0.02 +. (0.3 *. Stats.Rng.float rng)) in
+  { Em.s; m; pi; a; b; c }
+
+let random_batch rng ~m ~len =
+  Array.init len (fun _ ->
+      if Stats.Rng.float rng < 0.1 then None else Some (Stats.Rng.int rng m))
+
+let model_bits (t : Em.model) = (bits t.Em.pi, bits t.Em.a, bits t.Em.b, bits t.Em.c)
+
+(* The M-step as it was written before it learned to work in place:
+   every block freshly allocated, fallbacks copied from the old model.
+   An independent reference for the in-place arithmetic, including the
+   [update_b] and zero-row paths no comparison with [em_step] reaches. *)
+let reference_m_step ~update_b stats (t : Em.model) =
+  let s = t.Em.s and m = t.Em.m in
+  let xi = Em.Incremental.xi stats and gamma_sum = Em.Incremental.gamma_sum stats in
+  let count_obs = Em.Incremental.count_obs stats in
+  let count_loss = Em.Incremental.count_loss stats in
+  let floor_normalize row off n =
+    let sum = ref 0. in
+    for k = 0 to n - 1 do
+      let v = if row.(off + k) < 1e-12 then 1e-12 else row.(off + k) in
+      row.(off + k) <- v;
+      sum := !sum +. v
+    done;
+    let inv = 1. /. !sum in
+    for k = 0 to n - 1 do
+      row.(off + k) <- row.(off + k) *. inv
+    done
+  in
+  let pi0 = Em.Incremental.pi0 stats in
+  let pi_sum = Array.fold_left ( +. ) 0. pi0 in
+  let pi =
+    if pi_sum > 0. then Array.map (fun p -> p /. pi_sum) pi0 else Array.copy t.Em.pi
+  in
+  let a = Array.make (s * s) 0. in
+  for st = 0 to s - 1 do
+    let off = st * s in
+    if gamma_sum.(st) <= 0. then Array.blit t.Em.a off a off s
+    else begin
+      let inv = 1. /. gamma_sum.(st) in
+      for k = 0 to s - 1 do
+        a.(off + k) <- xi.(off + k) *. inv
+      done;
+      floor_normalize a off s
+    end
+  done;
+  let b =
+    if not update_b then t.Em.b
+    else begin
+      let b = Array.make (s * m) 0. in
+      for st = 0 to s - 1 do
+        let off = st * m in
+        let sum = ref 0. in
+        for j = 0 to m - 1 do
+          let v = count_obs.(off + j) +. count_loss.(off + j) in
+          b.(off + j) <- v;
+          sum := !sum +. v
+        done;
+        if !sum <= 0. then Array.blit t.Em.b off b off m else floor_normalize b off m
+      done;
+      b
+    end
+  in
+  let c =
+    Array.init m (fun j ->
+        let lost = ref 0. and seen = ref 0. in
+        for st = 0 to s - 1 do
+          let l = count_loss.((st * m) + j) in
+          lost := !lost +. l;
+          seen := !seen +. count_obs.((st * m) + j) +. l
+        done;
+        if !seen <= 0. then t.Em.c.(j)
+        else Float.max 1e-9 (Float.min (1. -. 1e-9) (!lost /. !seen)))
+  in
+  { t with Em.pi; a; b; c }
+
+(* After any decay/append history, [m_step_in_place] on a copy must
+   land on the same bits as [m_step] and as the reference, and
+   [m_step] must leave its input alone. *)
+let prop_m_step_in_place_matches =
+  QCheck.Test.make ~name:"m_step_in_place = m_step = reference, bitwise" ~count:200
+    QCheck.(quad small_nat (int_range 2 6) (int_range 2 5) (pair (int_range 1 5) bool))
+    (fun (seed, s, m, (rounds, update_b)) ->
+      let rng = Stats.Rng.create (seed + (31 * s) + (7 * m)) in
+      let model = random_model rng ~s ~m ~dead:(Stats.Rng.int rng s) in
+      let ws = Em.workspace () in
+      let stats = Em.Incremental.create ~s ~m in
+      for _ = 1 to rounds do
+        Em.Incremental.decay stats ~lambda:(Stats.Rng.float rng);
+        ignore
+          (Em.Incremental.append ~ws ~carry:(Stats.Rng.bool rng) stats model
+             (random_batch rng ~m ~len:(1 + Stats.Rng.int rng 40))
+            : float)
+      done;
+      let zero_row = Array.exists (fun g -> g = 0.) (Em.Incremental.gamma_sum stats) in
+      let before = model_bits model in
+      let fresh = Em.Incremental.m_step ~update_b stats model in
+      let input_untouched = model_bits model = before in
+      let reference = reference_m_step ~update_b stats model in
+      let copy =
+        {
+          model with
+          Em.pi = Array.copy model.Em.pi;
+          a = Array.copy model.Em.a;
+          b = Array.copy model.Em.b;
+          c = Array.copy model.Em.c;
+        }
+      in
+      Em.Incremental.m_step_in_place ~update_b stats copy;
+      zero_row && input_untouched
+      && model_bits copy = model_bits fresh
+      && model_bits copy = model_bits reference)
+
+let test_m_step_dimension_mismatch () =
+  let model = random_model (Stats.Rng.create 1) ~s:3 ~m:2 ~dead:0 in
+  Alcotest.check_raises "dimension mismatch"
+    (Invalid_argument
+       "Em.Incremental.m_step: model dimensions do not match the statistics")
+    (fun () ->
+      Em.Incremental.m_step_in_place (Em.Incremental.create ~s:4 ~m:2) model)
+
+(* --- steady-state allocation ------------------------------------------- *)
+
+(* [Gc.minor_words] reads this domain's allocation counter as an
+   immediate, so it can bracket one small call.  These cases run before
+   any test spawns the pool. *)
+let minor_words () = int_of_float (Gc.minor_words ())
+
+let test_update_round_allocation () =
+  let n = 2 and m = 5 in
+  let s = n * m in
+  let rng = Stats.Rng.create 17 in
+  let batches = Array.init 8 (fun _ -> random_batch rng ~m ~len:16) in
+  let model = informed ~seed:4 ~n ~m batches.(0) in
+  let ws = Em.workspace () in
+  let stats = Em.Incremental.create ~s ~m in
+  let round batch =
+    Em.Incremental.decay stats ~lambda:0.9;
+    ignore (Em.Incremental.append ~ws stats model batch : float);
+    Em.Incremental.m_step_in_place stats model
+  in
+  for i = 0 to 3 do
+    round batches.(i)
+  done;
+  let worst = ref 0 in
+  for i = 4 to 7 do
+    let w0 = minor_words () in
+    round batches.(i);
+    worst := max !worst (minor_words () - w0)
+  done;
+  if !worst > 32 then
+    Alcotest.failf "decay + append + m_step_in_place allocated %d words (> 32)"
+      !worst
+
+let test_timeline_record_allocation () =
+  let tl = Fleet.Timeline.create ~capacity:4 in
+  let update =
+    Fleet.Timeline.Update
+      {
+        epoch = 3;
+        verdict = Some Dcl.Identify.Weakly_dominant;
+        log_likelihood = -4.5;
+        weight = 12.;
+        bound = Some 0.25;
+      }
+  in
+  let gate =
+    Fleet.Timeline.Gate { epoch = 4; promoted = true; cause = "loss"; streak = 2 }
+  in
+  let reset = Fleet.Timeline.Reset { epoch = 5 } in
+  (* The first update allocates the columns, the first gate the cause
+     column. *)
+  Fleet.Timeline.record tl update;
+  Fleet.Timeline.record tl gate;
+  let w0 = minor_words () in
+  for _ = 1 to 10 do
+    Fleet.Timeline.record tl update;
+    Fleet.Timeline.record tl gate;
+    Fleet.Timeline.record tl reset
+  done;
+  Alcotest.(check int) "words allocated by 30 records" 0 (minor_words () - w0)
 
 (* --- decay ------------------------------------------------------------- *)
 
@@ -522,6 +737,40 @@ let test_timeline_entry_kinds_and_json () =
   Alcotest.(check bool) "no bare infinity token" false (contains "inf");
   Alcotest.(check bool) "non-finite exported as null" true (contains "null")
 
+(* A cause is any string the caller records; quotes, backslashes and
+   control bytes must come out escaped, or /paths/:id serves invalid
+   JSON. *)
+let test_timeline_json_escapes_cause () =
+  let tl = Fleet.Timeline.create ~capacity:4 in
+  let cause = "say \"hi\" \\ tab\tnl\nbell\007" in
+  Fleet.Timeline.record tl
+    (Fleet.Timeline.Gate { epoch = 1; promoted = true; cause; streak = 1 });
+  let js = Fleet.Timeline.to_json tl in
+  if not (Json_check.valid js) then Alcotest.failf "invalid JSON: %s" js;
+  match Fleet.Timeline.entries tl with
+  | [ Fleet.Timeline.Gate g ] ->
+      Alcotest.(check string) "cause read back verbatim" cause g.cause
+  | _ -> Alcotest.fail "expected one Gate entry"
+
+(* The flat store records bound presence in the kind byte, not as a
+   NaN sentinel: [Some nan] and [None] both read back as recorded. *)
+let test_timeline_bound_round_trip () =
+  let tl = Fleet.Timeline.create ~capacity:2 in
+  let update bound =
+    Fleet.Timeline.Update
+      { epoch = 1; verdict = None; log_likelihood = Float.nan; weight = 1.; bound }
+  in
+  Fleet.Timeline.record tl (update (Some Float.nan));
+  Fleet.Timeline.record tl (update None);
+  match Fleet.Timeline.entries tl with
+  | [ Fleet.Timeline.Update u1; Fleet.Timeline.Update u2 ] ->
+      Alcotest.(check bool) "Some nan survives" true
+        (match u1.bound with Some b -> Float.is_nan b | None -> false);
+      Alcotest.(check bool) "None survives" true (u2.bound = None);
+      Alcotest.(check bool) "nan log-likelihood survives" true
+        (Float.is_nan u1.log_likelihood)
+  | _ -> Alcotest.fail "expected two Update entries"
+
 let test_timeline_capacity_zero () =
   let tl = Fleet.Timeline.create ~capacity:0 in
   Fleet.Timeline.record tl (Fleet.Timeline.Reset { epoch = 1 });
@@ -555,7 +804,10 @@ let test_path_state_records_timeline () =
         u1.epoch;
       Alcotest.(check int) "explicit epoch stamp wins" 9 u2.epoch;
       Alcotest.(check bool) "recorded weight is positive" true
-        (u2.weight > 0.)
+        (u2.weight > 0.);
+      Alcotest.(check (float 0.)) "last log-likelihood is the recorded one"
+        u2.log_likelihood
+        (Fleet.Path_state.last_log_likelihood p)
   | _ -> Alcotest.fail "expected exactly two Update entries"
 
 (* --- source ------------------------------------------------------------ *)
@@ -602,6 +854,19 @@ let () =
           Alcotest.test_case "single append bitwise" `Quick test_single_append_bitwise;
           Alcotest.test_case "weight and counts" `Quick test_append_weight_and_counts;
         ] );
+      ( "m-step-in-place",
+        [
+          QCheck_alcotest.to_alcotest prop_m_step_in_place_matches;
+          Alcotest.test_case "dimension mismatch" `Quick
+            test_m_step_dimension_mismatch;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "update round <= 32 words" `Quick
+            test_update_round_allocation;
+          Alcotest.test_case "timeline record allocates nothing" `Quick
+            test_timeline_record_allocation;
+        ] );
       ( "decay",
         [
           Alcotest.test_case "scales statistics" `Quick test_decay_scales_everything;
@@ -645,6 +910,10 @@ let () =
           Alcotest.test_case "ring wraparound" `Quick test_timeline_wraparound;
           Alcotest.test_case "entry kinds and json" `Quick
             test_timeline_entry_kinds_and_json;
+          Alcotest.test_case "json escapes cause" `Quick
+            test_timeline_json_escapes_cause;
+          Alcotest.test_case "bound round trip" `Quick
+            test_timeline_bound_round_trip;
           Alcotest.test_case "capacity zero" `Quick test_timeline_capacity_zero;
           Alcotest.test_case "path-state records history" `Quick
             test_path_state_records_timeline;

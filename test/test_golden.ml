@@ -64,6 +64,74 @@ let test_fleet_fingerprint () =
   Alcotest.(check string) "ungated fingerprint" "4d6dd58211ae52b9"
     (Fleet.Scheduler.fingerprint sched)
 
+(* The gated fleet runs the sketch triage, the Gate timeline entries
+   and the catch-up decay of re-promoted paths ([Path_state.coast]),
+   none of which the ungated pin reaches.  A low loss threshold and
+   short streaks make paths promote, settle, demote and re-promote
+   inside a few epochs. *)
+let test_gated_fleet_fingerprint () =
+  let paths = 48 and epochs = 14 and epoch_len = 24 in
+  let rng = Stats.Rng.create 2025 in
+  let src =
+    Fleet.Source.synthetic ~templates:6 ~congested_fraction:0.34 ~rng ~paths ()
+  in
+  let config = Fleet.Path_state.config ~scheme:(Fleet.Source.scheme src) () in
+  let gate =
+    Sketch.Gate.config ~loss_threshold:0.1 ~promote_after:1 ~demote_after:1 ()
+  in
+  let sched = Fleet.Scheduler.create ~domains:1 ~gate ~rng ~paths config in
+  for _ = 1 to epochs do
+    for p = 0 to paths - 1 do
+      Fleet.Scheduler.push sched ~path:p
+        (Fleet.Source.pull src ~path:p ~len:epoch_len)
+    done;
+    ignore (Fleet.Scheduler.tick sched : int)
+  done;
+  let gs = Option.get (Fleet.Scheduler.gate_stats sched) in
+  Alcotest.(check (pair int int)) "promotions, demotions" (29, 5)
+    (gs.Fleet.Scheduler.promotions, gs.Fleet.Scheduler.demotions);
+  Alcotest.(check string) "gated fingerprint" "358d2ea22c5704b3"
+    (Fleet.Scheduler.fingerprint sched)
+
+(* A fixed mixed history through a 7-slot ring: three entries are
+   overwritten, and the seven retained ones hold every entry kind (both
+   gate directions), every verdict, an absent and a zero bound, and
+   non-finite log-likelihoods. *)
+let test_timeline_json () =
+  let tl = Fleet.Timeline.create ~capacity:7 in
+  let update epoch verdict log_likelihood weight bound =
+    Fleet.Timeline.record tl
+      (Fleet.Timeline.Update { epoch; verdict; log_likelihood; weight; bound })
+  in
+  let gate epoch promoted cause streak =
+    Fleet.Timeline.record tl
+      (Fleet.Timeline.Gate { epoch; promoted; cause; streak })
+  in
+  update 0 (Some Dcl.Identify.Strongly_dominant) (-1.) 8. (Some 0.5);
+  gate 1 true "loss" 2;
+  Fleet.Timeline.record tl (Fleet.Timeline.Reset { epoch = 2 });
+  update 3 None (-3.5) 16. None;
+  gate 4 true "drift" 1;
+  update 5 (Some Dcl.Identify.Weakly_dominant) (-12.25) 30.5 (Some 0.125);
+  update 6 (Some Dcl.Identify.Strongly_dominant) Float.nan 41.75 (Some 0.);
+  Fleet.Timeline.record tl (Fleet.Timeline.Reset { epoch = 7 });
+  update 8 (Some Dcl.Identify.No_dominant) Float.neg_infinity 0. None;
+  gate 9 false "calm" 3;
+  let expected =
+    String.concat ""
+      [
+        {|{"total":10,"capacity":7,"entries":[|};
+        {|{"kind":"update","epoch":3,"verdict":"untested","log_likelihood":-3.5,"weight":16,"bound":null},|};
+        {|{"kind":"gate","epoch":4,"promoted":true,"cause":"drift","streak":1},|};
+        {|{"kind":"update","epoch":5,"verdict":"weakly-dominant","log_likelihood":-12.25,"weight":30.5,"bound":0.125},|};
+        {|{"kind":"update","epoch":6,"verdict":"strongly-dominant","log_likelihood":null,"weight":41.75,"bound":0},|};
+        {|{"kind":"reset","epoch":7},|};
+        {|{"kind":"update","epoch":8,"verdict":"no-dominant","log_likelihood":null,"weight":0,"bound":null},|};
+        {|{"kind":"gate","epoch":9,"promoted":false,"cause":"calm","streak":3}]}|};
+      ]
+  in
+  Alcotest.(check string) "timeline json" expected (Fleet.Timeline.to_json tl)
+
 let () =
   Alcotest.run "golden"
     [
@@ -74,5 +142,9 @@ let () =
           Alcotest.test_case "hmm fit_from winner" `Quick
             test_hmm_fit_from_winner;
           Alcotest.test_case "fleet fingerprint" `Quick test_fleet_fingerprint;
+          Alcotest.test_case "gated fleet fingerprint" `Quick
+            test_gated_fleet_fingerprint;
         ] );
+      ( "fleet output",
+        [ Alcotest.test_case "timeline json" `Quick test_timeline_json ] );
     ]
