@@ -164,70 +164,87 @@ let floor_normalize row off n =
 
 let clamp_c p = Float.max c_floor (Float.min (1. -. c_floor) p)
 
-let em_step ~(ws : workspace) ~update_b (t : model) obs =
-  check_obs "Em.em_step" obs;
-  let s = t.s and m = t.m in
-  ignore (run_sweep ws t obs);
-  Kernel.accumulate ws t ~tt:(Array.length obs);
-  (* M-step over the accumulated statistics.  gamma 0 sums to 1 only up
-     to rounding; renormalize. *)
-  let cls = ws.cls and act = ws.act and act_len = ws.act_len in
-  let pi' = Array.make s 0. in
-  let r0 = cls.(0) in
-  let base0 = r0 * s in
-  for idx = 0 to act_len.(r0) - 1 do
-    let st = act.(base0 + idx) in
-    pi'.(st) <- Float.max 0. (Ba.get ws.alpha st *. Ba.get ws.beta st)
-  done;
-  let pi_sum = Array.fold_left ( +. ) 0. pi' in
-  let pi' = Array.map (fun p -> p /. pi_sum) pi' in
-  let a' = Array.make (s * s) 0. in
-  for st = 0 to s - 1 do
-    let off = st * s in
-    let g = Ba.get ws.gamma_sum st in
-    if g <= 0. then Array.blit t.a off a' off s
-    else begin
-      let inv = 1. /. g in
-      for k = 0 to s - 1 do
-        a'.(off + k) <- Ba.get ws.xi (off + k) *. inv
-      done;
-      floor_normalize a' off s
-    end
-  done;
-  let b' =
-    if not update_b then t.b
-    else begin
-      let b' = Array.make (s * m) 0. in
-      for st = 0 to s - 1 do
-        let off = st * m in
-        let sum = ref 0. in
-        for j = 0 to m - 1 do
-          let v = Ba.get ws.count_obs (off + j) +. Ba.get ws.count_loss (off + j) in
-          b'.(off + j) <- v;
-          sum := !sum +. v
-        done;
-        if !sum <= 0. then Array.blit t.b off b' off m else floor_normalize b' off m
-      done;
-      b'
-    end
-  in
-  let c' =
-    Array.init m (fun j ->
-        let lost = ref 0. and seen = ref 0. in
-        for st = 0 to s - 1 do
-          let l = Ba.get ws.count_loss ((st * m) + j) in
-          lost := !lost +. l;
-          seen := !seen +. Ba.get ws.count_obs ((st * m) + j) +. l
-        done;
-        if !seen <= 0. then t.c.(j) else clamp_c (!lost /. !seen))
-  in
-  { t with pi = pi'; a = a'; b = b'; c = c' }
+let log_safe x = if x <= 0. then neg_infinity else log x
 
-(* Streaming EM over decayed sufficient statistics (the fleet layer's
-   per-path recursion).  A [stats] value accumulates the E-step
-   statistics of every appended batch, scaled by a forgetting factor
-   between batches; the M-step then re-estimates the model from the
-   decayed totals exactly as [em_step] does from one batch's totals.
+(* Log-space Viterbi over the prepared emission table and active-state
+   lists.  A state outside an instant's active set has zero emission, so
+   its delta stays -inf and no path runs through it; walking only active
+   predecessors, in ascending order with a strict [>], therefore keeps
+   the first-best predecessor of the dense recursion. *)
+let viterbi ~(ws : workspace) (t : model) obs =
+  check_obs "Em.viterbi" obs;
+  let tt = Array.length obs and s = t.s in
+  Kernel.reserve ws ~tt ~s ~m:t.m;
+  Kernel.classify ws t obs;
+  Kernel.prepare ws t;
+  let cls = ws.cls and act = ws.act and act_len = ws.act_len in
+  let log_a = Array.map log_safe t.a in
+  let delta = Array.make (tt * s) neg_infinity and back = Array.make (tt * s) 0 in
+  let r0 = cls.(0) in
+  for idx = 0 to act_len.(r0) - 1 do
+    let st = act.((r0 * s) + idx) in
+    delta.(st) <- log_safe t.pi.(st) +. log_safe (Ba.get ws.e_all ((r0 * s) + st))
+  done;
+  for time = 1 to tt - 1 do
+    let r = cls.(time) and rp = cls.(time - 1) in
+    let row = time * s and rowp = (time - 1) * s in
+    for idx = 0 to act_len.(r) - 1 do
+      let st' = act.((r * s) + idx) in
+      let e = log_safe (Ba.get ws.e_all ((r * s) + st')) in
+      for idxp = 0 to act_len.(rp) - 1 do
+        let st = act.((rp * s) + idxp) in
+        let cand = delta.(rowp + st) +. log_a.((st * s) + st') +. e in
+        if cand > delta.(row + st') then begin
+          delta.(row + st') <- cand;
+          back.(row + st') <- st
+        end
+      done
+    done
+  done;
+  let rl = cls.(tt - 1) and rowl = (tt - 1) * s in
+  let best = ref (if act_len.(rl) > 0 then act.(rl * s) else 0) in
+  for idx = 1 to act_len.(rl) - 1 do
+    let st = act.((rl * s) + idx) in
+    if delta.(rowl + st) > delta.(rowl + !best) then best := st
+  done;
+  let path = Array.make tt 0 in
+  path.(tt - 1) <- !best;
+  for time = tt - 2 downto 0 do
+    path.(time) <- back.(((time + 1) * s) + path.(time + 1))
+  done;
+  (path, delta.(rowl + !best))
+
+let neighbor_attribution ~m obs =
+  let tt = Array.length obs in
+  let seen = Array.make m 1. and lost = Array.make m 0.5 in
+  let nearest t0 =
+    let rec scan d =
+      if d > tt then None
+      else
+        let back = t0 - d and fwd = t0 + d in
+        let pick t = if t >= 0 && t < tt then obs.(t) else None in
+        match pick back with
+        | Some j -> Some j
+        | None -> ( match pick fwd with Some j -> Some j | None -> scan (d + 1))
+    in
+    scan 1
+  in
+  Array.iteri
+    (fun t o ->
+      match o with
+      | Some j -> seen.(j) <- seen.(j) +. 1.
+      | None -> (
+          match nearest t with
+          | Some j -> lost.(j) <- lost.(j) +. 1.
+          | None -> ()))
+    obs;
+  (seen, lost)
+
+(* EM over sufficient statistics: the one E-step accumulation and the
+   one M-step behind both the fleet layer's streaming recursion and the
+   batch [em_step].  A [stats] value accumulates the E-step statistics
+   of every appended batch, scaled by a forgetting factor between
+   batches; the M-step re-estimates the model from the decayed totals.
    [append] runs one serial forward–backward sweep over the new batch
    only, so the per-epoch cost is O(batch), not O(history). *)
 module Incremental = struct
@@ -303,41 +320,13 @@ module Incremental = struct
     if t.s <> st.s || t.m <> st.m then
       invalid_arg (name ^ ": model dimensions do not match the statistics")
 
-  let append ~(ws : workspace) ?(carry = true) st (t : model) obs =
-    dims_check "Em.Incremental.append" st t;
-    check_obs "Em.Incremental.append" obs;
+  (* One batch's E-step, untraced: sweep [t] over [obs] and add the
+     batch's statistics to the accumulators.  The sweep raises (a
+     rejected symbol, Zero_likelihood) before any accumulator changes. *)
+  let absorb ws st (t : model) obs =
     let s = st.s and m = st.m in
     let tt = Array.length obs in
-    Obs.Trace.span_begin "em.append" tt;
-    (* Seed the batch from the carried filtered distribution propagated
-       one step through the current transitions: the previous batch
-       ended at instant T-1, this one starts at the next instant, so
-       pi_batch = A^T fend.  The boundary transition's expected counts
-       are not accumulated (the only cross-batch approximation; the
-       forward likelihood itself factorizes exactly). *)
-    let t =
-      if carry && st.primed then begin
-        let pi = st.carry_pi in
-        for dst = 0 to s - 1 do
-          let acc = ref 0. in
-          for src = 0 to s - 1 do
-            acc := !acc +. (st.fend.(src) *. t.a.((src * s) + dst))
-          done;
-          pi.(dst) <- !acc
-        done;
-        { t with pi }
-      end
-      else t
-    in
-    let ll =
-      match run_sweep ws t obs with
-      | ll -> ll
-      | exception e ->
-          (* Zero_likelihood from the sweep: close the span so the
-             recorder's begin/end stream stays balanced. *)
-          Obs.Trace.span_end "em.append";
-          raise e
-    in
+    let ll = run_sweep ws t obs in
     Kernel.accumulate ws t ~tt;
     for i = 0 to (s * s) - 1 do
       st.xi.(i) <- st.xi.(i) +. Ba.get ws.xi i
@@ -349,11 +338,11 @@ module Incremental = struct
       st.count_obs.(i) <- st.count_obs.(i) +. Ba.get ws.count_obs i;
       st.count_loss.(i) <- st.count_loss.(i) +. Ba.get ws.count_loss i
     done;
-    (* Batch-start posterior (the [em_step] pi target), restricted to
-       the states active at the batch's first instant; and the filtered
-       end, the normalized alpha row of the last instant.  Only active
-       slots of an alpha row are written by the sweep, so both extracts
-       mask by the instant's active set. *)
+    (* Batch-start posterior (the pi target), restricted to the states
+       active at the batch's first instant; and the filtered end, the
+       normalized alpha row of the last instant.  Only active slots of
+       an alpha row are written by the sweep, so both extracts mask by
+       the instant's active set. *)
     let r0 = ws.cls.(0) in
     let base0 = r0 * s in
     for idx = 0 to ws.act_len.(r0) - 1 do
@@ -373,17 +362,50 @@ module Incremental = struct
     st.totals.weight <- st.totals.weight +. float_of_int tt;
     st.totals.log_likelihood <- st.totals.log_likelihood +. ll;
     st.batches <- st.batches + 1;
-    Obs.Trace.span_end "em.append";
     ll
 
-  (* Mirror of [em_step]'s M-step, reading the decayed accumulators:
-     with [lambda = 1] and a single appended batch the two produce
-     bit-identical models.  Every output cell depends only on the
-     accumulators and on that same cell's old value (the zero-row
-     fallbacks keep it), so overwriting the model's own arrays gives
-     the same bits as writing fresh ones.  The fallback tests keep
-     [em_step]'s polarity ([<= 0.] keeps the old value), so a NaN
-     accumulator takes the same branch in both. *)
+  let append ~(ws : workspace) st (t : model) obs =
+    dims_check "Em.Incremental.append" st t;
+    check_obs "Em.Incremental.append" obs;
+    let s = st.s in
+    Obs.Trace.span_begin "em.append" (Array.length obs);
+    (* Seed the batch from the carried filtered distribution propagated
+       one step through the current transitions: the previous batch
+       ended at instant T-1, this one starts at the next instant, so
+       pi_batch = A^T fend.  The boundary transition's expected counts
+       are not accumulated (the only cross-batch approximation; the
+       forward likelihood itself factorizes exactly). *)
+    let t =
+      if st.primed then begin
+        let pi = st.carry_pi in
+        for dst = 0 to s - 1 do
+          let acc = ref 0. in
+          for src = 0 to s - 1 do
+            acc := !acc +. (st.fend.(src) *. t.a.((src * s) + dst))
+          done;
+          pi.(dst) <- !acc
+        done;
+        { t with pi }
+      end
+      else t
+    in
+    match absorb ws st t obs with
+    | ll ->
+        Obs.Trace.span_end "em.append";
+        ll
+    | exception e ->
+        (* Close the span so the recorder's begin/end stream stays
+           balanced. *)
+        Obs.Trace.span_end "em.append";
+        raise e
+
+  (* The M-step.  Every output cell depends only on the accumulators
+     and on that same cell's old value (the zero-row fallbacks keep
+     it), so overwriting the model's own arrays gives the same bits as
+     writing fresh ones.  The [a]/[b]/[c] fallbacks are taken on
+     [<= 0.].  [pi] is kept unless the batch-start posteriors have a
+     positive sum, which every completed sweep gives (gamma at an
+     instant sums to one). *)
   let m_step_in_place ?(update_b = false) st (t : model) =
     dims_check "Em.Incremental.m_step" st t;
     if st.batches = 0 then
@@ -484,12 +506,28 @@ let param_change old_t new_t =
   let d = if old_t.b == new_t.b then d else Float.max d (max_abs_diff old_t.b new_t.b) in
   Float.max d (max_abs_diff old_t.c new_t.c)
 
+(* One batch EM iteration through the streaming statistics: reset,
+   accumulate [obs] alone (an unprimed [st] seeds from [t.pi]), M-step.
+   After the reset every accumulator reads [0. +. x = x], so the result
+   is the classical Baum–Welch update. *)
+let step ws st ~update_b t obs =
+  Incremental.reset st;
+  ignore (Incremental.absorb ws st t obs : float);
+  Incremental.m_step ~update_b st t
+
+let em_step ~(ws : workspace) ~update_b (t : model) obs =
+  check_obs "Em.em_step" obs;
+  step ws (Incremental.create ~s:t.s ~m:t.m) ~update_b t obs
+
 let fit_from ~ws ?(eps = 1e-3) ?(max_iter = 300) ~update_b t0 obs =
+  check_obs "Em.fit_from" obs;
+  (* One statistics value per fit, reset by every iteration. *)
+  let st = Incremental.create ~s:t0.s ~m:t0.m in
   let rec iterate t iter =
     let t0_ns = Obs.Span.start () in
     Obs.Trace.span_begin "em.sweep" (iter + 1);
     let t' =
-      match em_step ~ws ~update_b t obs with
+      match step ws st ~update_b t obs with
       | t' ->
           Obs.Trace.span_end "em.sweep";
           t'

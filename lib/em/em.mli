@@ -11,7 +11,11 @@
 
     The kernel provides the scaled forward–backward recursion, the
     loss-as-missing-value emission logic (Section V of the paper), the
-    EM step, and restart racing.  All [O(T * s)] sweep state lives in
+    EM step, restart racing, Viterbi decoding and the neighbour
+    attribution behind both families' informed starts — one
+    implementation of each.  There is one E-step accumulation and one
+    M-step, those of {!Incremental}: the batch {!em_step} is a single
+    batch through them.  All [O(T * s)] sweep state lives in
     unboxed [Bigarray] float64 buffers preallocated in a reusable
     {!workspace}.  States with zero emission probability for an
     observation are skipped via per-symbol active-state lists, which
@@ -27,7 +31,9 @@
     forward recursion's inner sums walk contiguous rows, like the
     backward pass and M-step do over the untransposed matrix.  These
     are pure layout changes: results are bit-identical to the direct
-    formulation.
+    formulation.  Every entry point rejects a symbol outside
+    [\[0, m)] with [Invalid_argument] before it reads or accumulates
+    anything.
 
     Each sweep is one serial forward–backward–accumulate pass over the
     whole sequence; the only parallelism is restart racing
@@ -94,13 +100,34 @@ val virtual_delay_pmf : ws:workspace -> model -> observation array -> float arra
     probes, averaged over all loss instants.  Requires at least one
     loss ([Invalid_argument] otherwise). *)
 
+val viterbi : ws:workspace -> model -> observation array -> int array * float
+(** Most likely state sequence and its log probability, by log-space
+    dynamic programming over the sweep's emission table (so losses go
+    through the missing-value emission) and active-state lists.  A
+    state with zero emission or transition probability contributes
+    [-inf]; ties go to the lowest state index.  Serves both
+    {!Hmm.viterbi} and {!Mmhd.viterbi}. *)
+
+val neighbor_attribution : m:int -> observation array -> float array * float array
+(** Nearest-surviving-neighbour attribution of losses to symbols, the
+    empirical analogue of the posterior EM computes: [(seen, lost)]
+    where [seen.(j)] counts observed [Some j] (from a prior of 1) and
+    [lost.(j)] counts the losses whose nearest surviving neighbour —
+    the earlier one on a tie — has symbol [j] (from a prior of 0.5).
+    Both families' informed initializers seed [c] from it, so EM starts
+    near solutions that explain losses with the symbols actually seen
+    around them. *)
+
 val em_step : ws:workspace -> update_b:bool -> model -> observation array -> model
-(** One EM iteration.  When [update_b] is false the emission matrix [b]
-    is shared, not re-estimated (the MMHD case, where [b] is
-    structural).  Re-estimated parameter blocks are floored away from
-    zero (transitions and any re-estimated [b] at 1e-12 before row
-    normalization, [c] clamped to [1e-9, 1 - 1e-9]) so that a symbol's
-    emission probability cannot collapse to exactly zero during EM. *)
+(** One EM iteration: a single batch through {!Incremental} — reset
+    statistics, accumulate [obs], {!Incremental.m_step} — so it shares
+    the streaming recursion's M-step bit for bit.  When [update_b] is
+    false the emission matrix [b] is shared, not re-estimated (the MMHD
+    case, where [b] is structural).  Re-estimated parameter blocks are
+    floored away from zero (transitions and any re-estimated [b] at
+    1e-12 before row normalization, [c] clamped to [1e-9, 1 - 1e-9]) so
+    that a symbol's emission probability cannot collapse to exactly zero
+    during EM. *)
 
 (** Streaming EM over decayed sufficient statistics — the per-path
     recursion of the fleet layer ([lib/fleet]).  A {!Incremental.stats}
@@ -109,7 +136,7 @@ val em_step : ws:workspace -> update_b:bool -> model -> observation array -> mod
     posteriors) of every observation batch appended so far, each
     multiplied by a forgetting factor [lambda] per {!Incremental.decay};
     {!Incremental.m_step} re-estimates a model from the decayed totals
-    exactly as {!em_step} does from a single batch.  One
+    ({!em_step} is that M-step over a single batch).  One
     [decay]/[append]/[m_step] round per epoch is one online-EM
     iteration whose cost is O(batch), independent of the history
     length. *)
@@ -133,28 +160,27 @@ module Incremental : sig
       effective memory is a [1 / (1 - lambda)]-batch exponential
       window. *)
 
-  val append :
-    ws:workspace -> ?carry:bool -> stats -> model -> observation array -> float
+  val append : ws:workspace -> stats -> model -> observation array -> float
   (** Run one serial forward–backward sweep of [model] over the batch
       and add its E-step statistics to the accumulators; returns the
-      batch's log-likelihood.  With [carry] (the default) the sweep is
-      seeded from the previous batch's filtered end-distribution
-      propagated one step through the model's transitions, so the
-      forward likelihood factorizes across batches exactly
-      ([logL(b1 ++ b2) = append b1 + append b2] up to the association
-      of the final log sums); smoothing, however, is truncated at batch
-      boundaries and the boundary transition's expected counts are not
-      accumulated — the two approximations of the streaming recursion.
-      [carry:false] (or a first batch) seeds from [model.pi].
-      Raises [Invalid_argument] on an empty batch or a dimension
-      mismatch, {!Zero_likelihood} on an impossible observation (the
-      statistics are untouched in both cases). *)
+      batch's log-likelihood.  The sweep is seeded from the previous
+      batch's filtered end-distribution propagated one step through the
+      model's transitions, so the forward likelihood factorizes across
+      batches exactly ([logL(b1 ++ b2) = append b1 + append b2] up to
+      the association of the final log sums); smoothing, however, is
+      truncated at batch boundaries and the boundary transition's
+      expected counts are not accumulated — the two approximations of
+      the streaming recursion.  The first batch after {!create} or
+      {!reset} seeds from [model.pi].  Raises [Invalid_argument] on an
+      empty batch, a dimension mismatch or a symbol outside
+      [\[0, m)], {!Zero_likelihood} on an impossible observation (the
+      statistics are untouched in every case). *)
 
   val m_step_in_place : ?update_b:bool -> stats -> model -> unit
   (** Re-estimate the model from the decayed totals, writing the new
       [pi], [a] and [c] (and [b] when [update_b]) into the model's own
-      arrays: the exact mirror of {!em_step}'s M-step (same zero-row
-      fallbacks, which keep the current value, and same floors), so
+      arrays.  A zero row keeps its current value; re-estimated rows
+      are floored as {!em_step} documents.  This is the only M-step:
       with [lambda = 1] and a single appended batch the model ends up
       bit-identical to [em_step model batch].  Allocates nothing: the
       fleet's per-path update re-estimates one model, allocated once,
@@ -166,8 +192,8 @@ module Incremental : sig
   val m_step : ?update_b:bool -> stats -> model -> model
   (** {!m_step_in_place} on a copy: the input model is left untouched
       and the result is fresh ([b] is shared with the input when
-      [update_b] is [false], as {!em_step} shares it), bit for bit the
-      model [m_step_in_place] would produce. *)
+      [update_b] is [false]), bit for bit the model [m_step_in_place]
+      would produce. *)
 
   val loss_mass : stats -> float array
   (** Per-symbol virtual-delay mass of the lost probes,
@@ -241,4 +267,13 @@ val fit_restarts :
     the serial ([domains = 1]) run.  A restart that hits {!Zero_likelihood}
     is skipped; [Failure] is raised only if every restart degenerates.
     [init] must be safe to call from any domain (per-index pre-split
-    RNGs satisfy this). *)
+    RNGs satisfy this).
+
+    Racing by likelihood is only safe between comparable starting
+    points.  {!Hmm.fit} and {!Mmhd.fit} race independently jittered
+    informed starts ({!neighbor_attribution}), never purely random
+    ones: both families admit degenerate optima in which a
+    rarely-observed symbol absorbs all the losses (its loss probability
+    is driven toward 1 at negligible cost), and those optima can
+    dominate the likelihood while being statistically meaningless.
+    Starts anchored by the neighbour attribution stay away from them. *)

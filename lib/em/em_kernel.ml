@@ -123,12 +123,17 @@ let reserve ws ~tt ~s ~m =
 (* Collapse the boxed observations into integer classes once per sweep;
    every pass then reads the flat [cls] array instead of matching an
    [int option] (a pointer dereference plus a branch) at each of its
-   per-time-step accesses. *)
+   per-time-step accesses.  A class indexes the tables unchecked, so a
+   symbol outside [0, m) is rejected here, before any pass reads it. *)
 let classify ws (t : model) obs =
   let m = t.m and cls = ws.cls in
   for time = 0 to Array.length obs - 1 do
     Array.unsafe_set cls time
-      (match Array.unsafe_get obs time with Some j -> j | None -> m)
+      (match Array.unsafe_get obs time with
+      | Some j when j < 0 || j >= m ->
+          invalid_arg "Em: observation symbol outside [0, m)"
+      | Some j -> j
+      | None -> m)
   done
 
 (* lint: hot *)

@@ -53,7 +53,8 @@ val reserve : workspace -> tt:int -> s:int -> m:int -> unit
 
 val classify : workspace -> model -> int option array -> unit
 (** Collapse the observations into integer classes in [cls] (symbol
-    [j], or [m] for a loss). *)
+    [j], or [m] for a loss).  Raises [Invalid_argument] on a symbol
+    outside [\[0, m)]. *)
 
 val prepare : workspace -> model -> unit
 (** Fill the emission table, loss weights, active-state lists and

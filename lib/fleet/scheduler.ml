@@ -304,6 +304,15 @@ let gated_push t g ~path:pidx batch =
 let push t ~path batch =
   if path < 0 || path >= Array.length t.paths then
     invalid_arg "Fleet.Scheduler.push: path index out of range";
+  (* Rejected here, on the caller's domain, before the sketch folds the
+     batch or a pooled update decays the path's statistics. *)
+  let m = t.config.Path_state.m in
+  for i = 0 to Array.length batch - 1 do
+    match Array.unsafe_get batch i with
+    | Some j when j < 0 || j >= m ->
+        invalid_arg "Fleet.Scheduler.push: observation symbol outside [0, m)"
+    | Some _ | None -> ()
+  done;
   if Array.length batch > 0 then
     match t.gating with
     | None -> t.pending.(path) <- batch :: t.pending.(path)

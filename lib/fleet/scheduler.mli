@@ -66,7 +66,8 @@ val push : t -> path:int -> Em.observation array -> unit
     gated, the batch first updates the path's sketch estimators (and,
     once per epoch, its gate); a quiet path's batch is then absorbed
     by the sketches and dropped instead of queued.  Raises
-    [Invalid_argument] on an out-of-range index. *)
+    [Invalid_argument] on an out-of-range index, or on a symbol outside
+    the scheme's [\[0, m)] (the fleet is then left as it was). *)
 
 val tick : t -> int
 (** Run one epoch over every path with pending observations; returns

@@ -32,36 +32,8 @@ let init_random rng ~n ~m ~loss_fraction =
     c = Array.init m (fun _ -> clamp_prob (loss_fraction *. jitter ()));
   }
 
-(* See Mmhd.neighbor_attribution: empirical loss-to-symbol attribution
-   used to seed [c]. *)
-let neighbor_attribution ~m obs =
-  let tt = Array.length obs in
-  let seen = Array.make m 1. and lost = Array.make m 0.5 in
-  let nearest t0 =
-    let rec scan d =
-      if d > tt then None
-      else
-        let back = t0 - d and fwd = t0 + d in
-        let pick t = if t >= 0 && t < tt then obs.(t) else None in
-        match pick back with
-        | Some j -> Some j
-        | None -> ( match pick fwd with Some j -> Some j | None -> scan (d + 1))
-    in
-    scan 1
-  in
-  Array.iteri
-    (fun t o ->
-      match o with
-      | Some j -> seen.(j) <- seen.(j) +. 1.
-      | None -> (
-          match nearest t with
-          | Some j -> lost.(j) <- lost.(j) +. 1.
-          | None -> ()))
-    obs;
-  (seen, lost)
-
 let init_informed rng ~n ~m obs =
-  let seen, lost = neighbor_attribution ~m obs in
+  let seen, lost = Em.neighbor_attribution ~m obs in
   let jitter () = 0.85 +. (0.3 *. Stats.Rng.float rng) in
   let c = Array.init m (fun j -> clamp_prob (lost.(j) /. (seen.(j) +. lost.(j)))) in
   (* Tilt each state's emissions toward a different end of the symbol
@@ -133,47 +105,9 @@ let of_em ~n ~m (e : Em.model) =
 
 let ws = Em.domain_ws
 
-let emission t i = function
-  | Some j -> t.b.(i).(j) *. (1. -. t.c.(j))
-  | None ->
-      let acc = ref 0. in
-      for j = 0 to t.m - 1 do
-        acc := !acc +. (t.b.(i).(j) *. t.c.(j))
-      done;
-      !acc
-
 let viterbi t obs =
-  let tt = Array.length obs in
-  if tt = 0 then invalid_arg "Hmm.viterbi: empty observation sequence";
-  let n = t.n in
-  let log_safe x = if x <= 0. then neg_infinity else log x in
-  let delta = Array.make_matrix tt n neg_infinity in
-  let back = Array.make_matrix tt n 0 in
-  for i = 0 to n - 1 do
-    delta.(0).(i) <- log_safe t.pi.(i) +. log_safe (emission t i obs.(0))
-  done;
-  for time = 1 to tt - 1 do
-    for i = 0 to n - 1 do
-      let e = log_safe (emission t i obs.(time)) in
-      for k = 0 to n - 1 do
-        let cand = delta.(time - 1).(k) +. log_safe t.a.(k).(i) +. e in
-        if cand > delta.(time).(i) then begin
-          delta.(time).(i) <- cand;
-          back.(time).(i) <- k
-        end
-      done
-    done
-  done;
-  let best = ref 0 in
-  for i = 1 to n - 1 do
-    if delta.(tt - 1).(i) > delta.(tt - 1).(!best) then best := i
-  done;
-  let path = Array.make tt 0 in
-  path.(tt - 1) <- !best;
-  for time = tt - 2 downto 0 do
-    path.(time) <- back.(time + 1).(path.(time + 1))
-  done;
-  (path, delta.(tt - 1).(!best))
+  if Array.length obs = 0 then invalid_arg "Hmm.viterbi: empty observation sequence";
+  Em.viterbi ~ws:(ws ()) (to_em t) obs
 
 let log_likelihood t obs = Em.log_likelihood ~ws:(ws ()) (to_em t) obs
 let state_posteriors t obs = Em.state_posteriors ~ws:(ws ()) (to_em t) obs
@@ -186,17 +120,9 @@ let fit_from ?eps ?max_iter t0 obs =
 
 let fit ?eps ?max_iter ?(restarts = 2) ?(domains = 1) ~rng ~n ~m obs =
   if restarts <= 0 then invalid_arg "Hmm.fit: restarts must be positive";
-  (* Every starting point is the data-driven informed initialization
-     with independent jitter, and the best converged attempt wins.
-     Purely random initializations are deliberately not raced by
-     likelihood: the model family admits degenerate optima in which a
-     rarely-observed symbol absorbs all the losses (its loss
-     probability is driven toward 1 at negligible cost), and those
-     optima can dominate the likelihood while being statistically
-     meaningless.  Informed starts are anchored by the neighbour
-     attribution, so comparing them by likelihood is safe.
-     Each restart draws from its own pre-split RNG, so the winner is
-     identical whether the restarts run serially or across domains. *)
+  (* Jittered informed starts only, raced by likelihood (why: see
+     Em.fit_restarts).  Each restart draws from its own pre-split RNG,
+     so the winner is identical serially and across domains. *)
   let rngs = Array.init restarts (fun _ -> Stats.Rng.split rng) in
   let init k = to_em (init_informed rngs.(k) ~n ~m obs) in
   let fitted, stats =

@@ -40,7 +40,7 @@ val init_random : Stats.Rng.t -> n:int -> m:int -> loss_fraction:float -> t
 val init_informed : Stats.Rng.t -> n:int -> m:int -> observation array -> t
 (** Data-driven starting point: emissions from the observed symbol
     frequencies and [c] from attributing each loss to its nearest
-    surviving neighbour's symbol (see {!Mmhd.init_informed}).  {!fit}
+    surviving neighbour's symbol ({!Em.neighbor_attribution}).  {!fit}
     always includes this starting point. *)
 
 val validate : t -> unit
@@ -52,8 +52,8 @@ val log_likelihood : t -> observation array -> float
 val viterbi : t -> observation array -> int array * float
 (** Most likely hidden-state sequence given the observations (losses
     handled through the missing-value emission) and its log
-    probability, by log-space dynamic programming.  A diagnostic tool:
-    e.g. segmenting a trace into calm/congested phases. *)
+    probability: {!Em.viterbi} on {!to_em}.  A diagnostic tool: e.g.
+    segmenting a trace into calm/congested phases. *)
 
 val state_posteriors : t -> observation array -> float array array
 (** [gamma.(t).(i)] = P(hidden state [i] at time [t] | observations),
@@ -74,7 +74,7 @@ val fit :
     paper's threshold) or [max_iter] (default 300).  [restarts] (default 2)
     independently-jittered {!init_informed} starting points are raced
     and the best converged fit wins; purely random starting points are
-    not used (see the implementation comment on degenerate optima).
+    not used (see {!Em.fit_restarts} on degenerate optima).
     With [domains > 1] the restarts run on that many concurrent
     domains of the persistent pool ({!Stats.Pool}; domains are spawned
     once per process and their EM workspaces stay warm across calls);

@@ -41,38 +41,6 @@ let init_random rng ~n ~m ~loss_fraction =
     c = Array.init m (fun _ -> clamp_prob (loss_fraction *. jitter ()));
   }
 
-(* Nearest-surviving-neighbour attribution of losses to symbols: the
-   empirical analogue of the posterior the EM will compute.  Seeds the
-   initial loss probabilities [c] so that EM starts near solutions that
-   explain losses with the symbols actually observed around them,
-   instead of drifting to a degenerate optimum where a rarely-observed
-   symbol absorbs all losses. *)
-let neighbor_attribution ~m obs =
-  let tt = Array.length obs in
-  let seen = Array.make m 1. and lost = Array.make m 0.5 in
-  let nearest t0 =
-    let rec scan d =
-      if d > tt then None
-      else
-        let back = t0 - d and fwd = t0 + d in
-        let pick t = if t >= 0 && t < tt then obs.(t) else None in
-        match pick back with
-        | Some j -> Some j
-        | None -> ( match pick fwd with Some j -> Some j | None -> scan (d + 1))
-    in
-    scan 1
-  in
-  Array.iteri
-    (fun t o ->
-      match o with
-      | Some j -> seen.(j) <- seen.(j) +. 1.
-      | None -> (
-          match nearest t with
-          | Some j -> lost.(j) <- lost.(j) +. 1.
-          | None -> ()))
-    obs;
-  (seen, lost)
-
 (* Symbol bigram frequencies over the observed (non-loss) subsequence,
    Laplace-smoothed; used to seed the transition structure. *)
 let observed_bigrams ~m obs =
@@ -89,7 +57,7 @@ let observed_bigrams ~m obs =
   big
 
 let init_informed rng ~n ~m obs =
-  let seen, lost = neighbor_attribution ~m obs in
+  let seen, lost = Em.neighbor_attribution ~m obs in
   let big = observed_bigrams ~m obs in
   let s = n * m in
   let jitter () = 0.85 +. (0.3 *. Stats.Rng.float rng) in
@@ -168,49 +136,9 @@ let of_em ~n ~m (e : Em.model) =
 
 let ws = Em.domain_ws
 
-let emission t s = function
-  | Some j -> if symbol_of t s = j then 1. -. t.c.(j) else 0.
-  | None -> t.c.(symbol_of t s)
-
-(* States compatible with an observation: n states for an observed
-   symbol, all n*m for a loss. *)
-let active t = function
-  | Some j -> Array.init t.n (fun x -> (x * t.m) + j)
-  | None -> Array.init (states t) (fun s -> s)
-
 let viterbi t obs =
-  let tt = Array.length obs in
-  if tt = 0 then invalid_arg "Mmhd.viterbi: empty observation sequence";
-  let s_all = states t in
-  let log_safe x = if x <= 0. then neg_infinity else log x in
-  let act = Array.map (active t) obs in
-  let delta = Array.make_matrix tt s_all neg_infinity in
-  let back = Array.make_matrix tt s_all 0 in
-  Array.iter
-    (fun s -> delta.(0).(s) <- log_safe t.pi.(s) +. log_safe (emission t s obs.(0)))
-    act.(0);
-  for time = 1 to tt - 1 do
-    Array.iter
-      (fun s' ->
-        let e = log_safe (emission t s' obs.(time)) in
-        Array.iter
-          (fun s ->
-            let cand = delta.(time - 1).(s) +. log_safe t.a.(s).(s') +. e in
-            if cand > delta.(time).(s') then begin
-              delta.(time).(s') <- cand;
-              back.(time).(s') <- s
-            end)
-          act.(time - 1))
-      act.(time)
-  done;
-  let best = ref act.(tt - 1).(0) in
-  Array.iter (fun s -> if delta.(tt - 1).(s) > delta.(tt - 1).(!best) then best := s) act.(tt - 1);
-  let path = Array.make tt 0 in
-  path.(tt - 1) <- !best;
-  for time = tt - 2 downto 0 do
-    path.(time) <- back.(time + 1).(path.(time + 1))
-  done;
-  (path, delta.(tt - 1).(!best))
+  if Array.length obs = 0 then invalid_arg "Mmhd.viterbi: empty observation sequence";
+  Em.viterbi ~ws:(ws ()) (to_em t) obs
 
 let log_likelihood t obs = Em.log_likelihood ~ws:(ws ()) (to_em t) obs
 let state_posteriors t obs = Em.state_posteriors ~ws:(ws ()) (to_em t) obs
@@ -223,17 +151,9 @@ let fit_from ?eps ?max_iter t0 obs =
 
 let fit ?eps ?max_iter ?(restarts = 2) ?(domains = 1) ~rng ~n ~m obs =
   if restarts <= 0 then invalid_arg "Mmhd.fit: restarts must be positive";
-  (* Every starting point is the data-driven informed initialization
-     with independent jitter, and the best converged attempt wins.
-     Purely random initializations are deliberately not raced by
-     likelihood: the model family admits degenerate optima in which a
-     rarely-observed symbol absorbs all the losses (its loss
-     probability is driven toward 1 at negligible cost), and those
-     optima can dominate the likelihood while being statistically
-     meaningless.  Informed starts are anchored by the neighbour
-     attribution, so comparing them by likelihood is safe.
-     Each restart draws from its own pre-split RNG, so the winner is
-     identical whether the restarts run serially or across domains. *)
+  (* Jittered informed starts only, raced by likelihood (why: see
+     Em.fit_restarts).  Each restart draws from its own pre-split RNG,
+     so the winner is identical serially and across domains. *)
   let rngs = Array.init restarts (fun _ -> Stats.Rng.split rng) in
   let init k = to_em (init_informed rngs.(k) ~n ~m obs) in
   let fitted, stats =

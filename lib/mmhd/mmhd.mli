@@ -47,7 +47,8 @@ val init_random : Stats.Rng.t -> n:int -> m:int -> loss_fraction:float -> t
 val init_informed : Stats.Rng.t -> n:int -> m:int -> observation array -> t
 (** Data-driven starting point: transitions from the observed symbol
     bigrams, [pi] from the symbol frequencies, and [c] from attributing
-    each loss to its nearest surviving neighbour's symbol.  Starting EM
+    each loss to its nearest surviving neighbour's symbol
+    ({!Em.neighbor_attribution}).  Starting EM
     here avoids a degenerate optimum in sparse-loss traces where a
     rarely-observed symbol absorbs all losses; {!fit} always includes
     this starting point. *)
@@ -57,7 +58,9 @@ val log_likelihood : t -> observation array -> float
 
 val viterbi : t -> observation array -> int array * float
 (** Most likely state sequence (flattened [(hidden, symbol)] states)
-    given the observations, and its log probability.  At a loss instant
+    given the observations, and its log probability: {!Em.viterbi} on
+    {!to_em}, whose indicator emission confines an observed instant to
+    the [n] states carrying its symbol.  At a loss instant
     the decoded state's symbol component is the single most likely
     virtual delay symbol — a point estimate complementing the Eq. (5)
     posterior. *)
@@ -79,7 +82,7 @@ val fit :
     [eps] (default 1e-3) or [max_iter] (default 300).  [restarts] (default 2)
     independently-jittered {!init_informed} starting points are raced
     and the best converged fit wins; purely random starting points are
-    not used (see the implementation comment on degenerate optima).
+    not used (see {!Em.fit_restarts} on degenerate optima).
     With [domains > 1] the restarts run on that many concurrent
     domains of the persistent pool ({!Stats.Pool}; domains are spawned
     once per process and their EM workspaces stay warm across calls);

@@ -1,6 +1,6 @@
 (* Tests for the shared EM kernel: parallel-restart determinism,
-   degenerate-restart skipping, and workspace reuse across
-   differently-sized models. *)
+   degenerate-restart skipping, workspace reuse across
+   differently-sized models, and rejection of out-of-range symbols. *)
 
 let check_float = Alcotest.(check (float 1e-12))
 
@@ -196,6 +196,56 @@ let test_workspace_reuse_across_sizes () =
   check_same_floats "b" step_fresh.Em.b step_shared.Em.b;
   check_same_floats "c" step_fresh.Em.c step_shared.Em.c
 
+(* --- observation symbols outside [0, m) -------------------------------- *)
+
+let five_symbol_model : Em.model =
+  {
+    Em.s = 2;
+    m = 5;
+    pi = [| 0.6; 0.4 |];
+    a = [| 0.7; 0.3; 0.2; 0.8 |];
+    b = [| 0.3; 0.3; 0.2; 0.1; 0.1; 0.1; 0.1; 0.2; 0.3; 0.3 |];
+    c = [| 0.05; 0.05; 0.1; 0.2; 0.3 |];
+  }
+
+let stats_bits st =
+  let bits a = Array.map Int64.bits_of_float a in
+  ( [
+      bits (Em.Incremental.xi st);
+      bits (Em.Incremental.gamma_sum st);
+      bits (Em.Incremental.count_obs st);
+      bits (Em.Incremental.count_loss st);
+      bits (Em.Incremental.pi0 st);
+      bits (Em.Incremental.filtered_end st);
+    ],
+    ( Int64.bits_of_float (Em.Incremental.weight st),
+      Int64.bits_of_float (Em.Incremental.log_likelihood st),
+      Em.Incremental.batches st ) )
+
+(* A symbol outside [0, m) is neither a delay nor a loss: every entry
+   point rejects it before touching any accumulator, instead of reading
+   it as a loss (m) or past the end of the class tables (> m). *)
+let test_out_of_range_symbols () =
+  let model = five_symbol_model and ws = Em.workspace () in
+  let good = [| Some 0; None; Some 4; Some 2; None; Some 1 |] in
+  let expected = Invalid_argument "Em: observation symbol outside [0, m)" in
+  List.iter
+    (fun bad ->
+      let obs = [| Some 0; None; Some bad; Some 1 |] in
+      let name what = Printf.sprintf "%s rejects Some %d" what bad in
+      Alcotest.check_raises (name "log_likelihood") expected (fun () ->
+          ignore (Em.log_likelihood ~ws model obs : float));
+      Alcotest.check_raises (name "em_step") expected (fun () ->
+          ignore (Em.em_step ~ws ~update_b:true model obs : Em.model));
+      let stats = Em.Incremental.create ~s:2 ~m:5 in
+      ignore (Em.Incremental.append ~ws stats model good : float);
+      let before = stats_bits stats in
+      Alcotest.check_raises (name "append") expected (fun () ->
+          ignore (Em.Incremental.append ~ws stats model obs : float));
+      Alcotest.(check bool) (name "statistics untouched by append") true
+        (stats_bits stats = before))
+    [ 5; 6; -1 ]
+
 let test_restarts_validation () =
   Alcotest.check_raises "restarts must be positive"
     (Invalid_argument "Em.fit_restarts: restarts must be positive")
@@ -233,5 +283,7 @@ let () =
           Alcotest.test_case "reuse across sizes" `Quick
             test_workspace_reuse_across_sizes;
           Alcotest.test_case "restart validation" `Quick test_restarts_validation;
+          Alcotest.test_case "out-of-range symbols" `Quick
+            test_out_of_range_symbols;
         ] );
     ]

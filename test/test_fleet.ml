@@ -51,8 +51,8 @@ let prop_single_append_matches_em_step =
 
 let test_single_append_bitwise () =
   (* On one concrete case the equality is exact, not just within
-     tolerance: append accumulates the same kernel statistics em_step
-     consumes, and m_step mirrors its arithmetic. *)
+     tolerance: em_step is one batch through the same accumulators and
+     the same M-step. *)
   let n = 2 and m = 4 in
   let obs = mmhd_obs ~seed:3 ~n ~m ~len:400 in
   let model = informed ~seed:9 ~n ~m obs in
@@ -127,8 +127,9 @@ let model_bits (t : Em.model) = (bits t.Em.pi, bits t.Em.a, bits t.Em.b, bits t.
 
 (* The M-step as it was written before it learned to work in place:
    every block freshly allocated, fallbacks copied from the old model.
-   An independent reference for the in-place arithmetic, including the
-   [update_b] and zero-row paths no comparison with [em_step] reaches. *)
+   [em_step] runs through [m_step] too, so this is the one independent
+   reference for the M-step arithmetic, including the [update_b] and
+   zero-row paths. *)
 let reference_m_step ~update_b stats (t : Em.model) =
   let s = t.Em.s and m = t.Em.m in
   let xi = Em.Incremental.xi stats and gamma_sum = Em.Incremental.gamma_sum stats in
@@ -207,7 +208,7 @@ let prop_m_step_in_place_matches =
       for _ = 1 to rounds do
         Em.Incremental.decay stats ~lambda:(Stats.Rng.float rng);
         ignore
-          (Em.Incremental.append ~ws ~carry:(Stats.Rng.bool rng) stats model
+          (Em.Incremental.append ~ws stats model
              (random_batch rng ~m ~len:(1 + Stats.Rng.int rng 40))
             : float)
       done;
@@ -355,18 +356,6 @@ let test_carry_loglik_additivity () =
      likelihoods the full-sequence likelihood, up to summation order. *)
   Alcotest.(check (float 1e-8)) "sum of batch logLs = full logL" ll_full (ll1 +. ll2)
 
-let test_carry_off_is_independent () =
-  let n = 2 and m = 4 in
-  let obs = mmhd_obs ~seed:61 ~n ~m ~len:200 in
-  let model = informed ~seed:8 ~n ~m obs in
-  let ws = Em.workspace () in
-  let stats = Em.Incremental.create ~s:(n * m) ~m in
-  ignore (Em.Incremental.append ~ws stats model (Array.sub obs 0 100) : float);
-  let ll2 = Em.Incremental.append ~ws ~carry:false stats model (Array.sub obs 100 100) in
-  let fresh = Em.Incremental.create ~s:(n * m) ~m in
-  let ll2' = Em.Incremental.append ~ws fresh model (Array.sub obs 100 100) in
-  check_float "carry:false restarts from the model prior" ll2' ll2
-
 let test_reset () =
   let n = 1 and m = 2 in
   let obs = mmhd_obs ~seed:71 ~n ~m ~len:60 in
@@ -461,6 +450,38 @@ let test_fleet_reruns_identically () =
   let _, fp1, log1 = run () and _, fp2, log2 = run () in
   Alcotest.(check string) "fingerprint" fp1 fp2;
   Alcotest.(check string) "log" log1 log2
+
+(* A batch holding a symbol outside the scheme's [0, m) is rejected at
+   [push], on the caller's domain, before the sketch or any path state
+   sees it: the fleet continues exactly as if it had never been
+   pushed. *)
+let test_push_rejects_out_of_range () =
+  let paths = 8 and epochs = 2 and epoch_len = 16 and seed = 555 in
+  List.iter
+    (fun gate ->
+      let run () =
+        run_fleet ?gate:(Option.map (fun f -> f ()) gate) ~domains:1 ~paths
+          ~epochs ~epoch_len ~seed ()
+      in
+      let sched, fp, _ = run () and twin, _, _ = run () in
+      let m = (Fleet.Path_state.model (Fleet.Scheduler.path sched 0) |> Option.get).Em.m in
+      List.iter
+        (fun bad ->
+          Alcotest.check_raises
+            (Printf.sprintf "push rejects Some %d" bad)
+            (Invalid_argument
+               "Fleet.Scheduler.push: observation symbol outside [0, m)")
+            (fun () ->
+              Fleet.Scheduler.push sched ~path:0 [| Some 0; Some bad; None |]))
+        [ m; m + 1; -1 ];
+      Alcotest.(check string) "fingerprint unchanged" fp
+        (Fleet.Scheduler.fingerprint sched);
+      ignore (Fleet.Scheduler.tick sched : int);
+      ignore (Fleet.Scheduler.tick twin : int);
+      Alcotest.(check string) "next tick as if never pushed"
+        (Fleet.Scheduler.fingerprint twin)
+        (Fleet.Scheduler.fingerprint sched))
+    [ None; Some (fun () -> Sketch.Gate.config ~loss_threshold:0.05 ~promote_after:1 ()) ]
 
 (* --- fleet: transition emission ---------------------------------------- *)
 
@@ -876,7 +897,6 @@ let () =
       ( "carry",
         [
           Alcotest.test_case "logL additivity" `Quick test_carry_loglik_additivity;
-          Alcotest.test_case "carry off" `Quick test_carry_off_is_independent;
           Alcotest.test_case "reset" `Quick test_reset;
         ] );
       ( "determinism",
@@ -885,6 +905,8 @@ let () =
           Alcotest.test_case "gated serial = pooled at 2/4/8" `Quick
             test_gated_pool_determinism;
           Alcotest.test_case "rerun identical" `Quick test_fleet_reruns_identically;
+          Alcotest.test_case "push rejects out-of-range symbols" `Quick
+            test_push_rejects_out_of_range;
         ] );
       ( "transitions",
         [ Alcotest.test_case "consistent stream" `Quick test_transitions_consistent ] );

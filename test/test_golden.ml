@@ -4,9 +4,10 @@
    refactor of the sweep that changes any bit of a fit winner or of a
    fleet's state fails here even when it changes every run alike.
 
-   Only quantities computed without libm are pinned — model parameters,
-   conclusions and statistic weights, never a log-likelihood — so the
-   pins do not depend on the platform's [log]/[exp]. *)
+   Apart from the Viterbi log-probabilities, only quantities computed
+   without libm are pinned — model parameters, conclusions, statistic
+   weights and distributions, never a log-likelihood — so those pins do
+   not depend on the platform's [log]/[exp]. *)
 
 let mix h bits = Int64.add (Int64.mul h 1000003L) bits
 
@@ -47,6 +48,68 @@ let test_hmm_fit_from_winner () =
     (hash_floats
        ((fit.Hmm.pi :: Array.to_list fit.Hmm.a)
        @ Array.to_list fit.Hmm.b @ [ fit.Hmm.c ]))
+
+let hash_ints a =
+  Printf.sprintf "%016Lx"
+    (Array.fold_left (fun h x -> mix h (Int64.of_int x)) 0L a)
+
+let float_bits x = Printf.sprintf "%016Lx" (Int64.bits_of_float x)
+
+(* Viterbi decodes of seeded sequences with losses, under the models
+   that generated them.  The log-probability is a sum of libm [log]s,
+   so unlike the other pins it assumes a correctly rounded [log]. *)
+let test_hmm_viterbi () =
+  let rng = Stats.Rng.create 17 in
+  let truth = Hmm.init_random rng ~n:3 ~m:4 ~loss_fraction:0.08 in
+  let obs, _ = Hmm.simulate rng truth ~len:600 in
+  obs.(1) <- None;
+  let path, logp = Hmm.viterbi truth obs in
+  Alcotest.(check string) "path" "624203e6bb8df32d" (hash_ints path);
+  Alcotest.(check string) "log-probability bits" "c09322a5981e57f4" (float_bits logp)
+
+let test_mmhd_viterbi () =
+  let rng = Stats.Rng.create 19 in
+  let truth = Mmhd.init_random rng ~n:2 ~m:4 ~loss_fraction:0.08 in
+  let obs, _ = Mmhd.simulate rng truth ~len:600 in
+  obs.(1) <- None;
+  let path, logp = Mmhd.viterbi truth obs in
+  Alcotest.(check string) "path" "4d20425321dfa6f1" (hash_ints path);
+  Alcotest.(check string) "log-probability bits" "c09277089e860379" (float_bits logp)
+
+(* Two raced informed restarts: the winner's bits, its iteration count
+   and the skipped-restart count. *)
+let test_mmhd_fit_restarts () =
+  let obs = mmhd_obs ~seed:29 ~len:1200 in
+  let fit, stats = Mmhd.fit ~restarts:2 ~rng:(Stats.Rng.create 31) ~n:2 ~m:4 obs in
+  Alcotest.(check (pair int int)) "iterations, skipped" (191, 0)
+    (stats.Mmhd.iterations, stats.Mmhd.skipped_restarts);
+  Alcotest.(check string) "pi/a/c bits" "588cd7bde350aa85"
+    (hash_floats ((fit.Mmhd.pi :: Array.to_list fit.Mmhd.a) @ [ fit.Mmhd.c ]))
+
+let test_hmm_fit_restarts () =
+  let rng = Stats.Rng.create 37 in
+  let truth = Hmm.init_random rng ~n:2 ~m:4 ~loss_fraction:0.08 in
+  let obs, _ = Hmm.simulate rng truth ~len:1200 in
+  let fit, stats = Hmm.fit ~restarts:2 ~rng:(Stats.Rng.create 41) ~n:2 ~m:4 obs in
+  Alcotest.(check (pair int int)) "iterations, skipped" (98, 0)
+    (stats.Hmm.iterations, stats.Hmm.skipped_restarts);
+  Alcotest.(check string) "pi/a/b/c bits" "d92147ea077f8f52"
+    (hash_floats
+       ((fit.Hmm.pi :: Array.to_list fit.Hmm.a)
+       @ Array.to_list fit.Hmm.b @ [ fit.Hmm.c ]))
+
+(* The whole offline pipeline on a short simulated preset trace:
+   discretize, fit, Eq. (5), SDCL/WDCL and the bound. *)
+let test_identify_run () =
+  let cfg = Scenarios.Presets.weakly_dcl ~duration:40. () in
+  let trace = (Scenarios.Paper_topology.run cfg).Scenarios.Paper_topology.trace in
+  let r = Dcl.Identify.run ~rng:(Stats.Rng.create 43) trace in
+  Alcotest.(check string) "conclusion" "strongly dominant congested link"
+    (Dcl.Identify.conclusion_to_string r.Dcl.Identify.conclusion);
+  Alcotest.(check (option string)) "bound bits" (Some "3fd38b4e807dce48")
+    (Option.map float_bits r.Dcl.Identify.bound);
+  Alcotest.(check string) "vqd bits" "5696b2d0df1c3995"
+    (hash_floats [ r.Dcl.Identify.vqd.Dcl.Vqd.pmf ])
 
 let test_fleet_fingerprint () =
   let paths = 32 and epochs = 6 and epoch_len = 24 in
@@ -141,6 +204,11 @@ let () =
             test_mmhd_fit_from_winner;
           Alcotest.test_case "hmm fit_from winner" `Quick
             test_hmm_fit_from_winner;
+          Alcotest.test_case "hmm viterbi" `Quick test_hmm_viterbi;
+          Alcotest.test_case "mmhd viterbi" `Quick test_mmhd_viterbi;
+          Alcotest.test_case "mmhd fit winner" `Quick test_mmhd_fit_restarts;
+          Alcotest.test_case "hmm fit winner" `Quick test_hmm_fit_restarts;
+          Alcotest.test_case "identify run" `Quick test_identify_run;
           Alcotest.test_case "fleet fingerprint" `Quick test_fleet_fingerprint;
           Alcotest.test_case "gated fleet fingerprint" `Quick
             test_gated_fleet_fingerprint;
