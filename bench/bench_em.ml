@@ -125,20 +125,15 @@ let geomean = function
 
    The EM sweep is the hottest instrumented region (one span plus the
    end-of-fit counters per fit), so it bounds the cost of the telemetry
-   layer.  One serial fit is measured with collection disabled and then
-   enabled; the smallest of several repeats cancels scheduler noise.
-   The disabled run exercises exactly the shipped hot path (every Obs
-   call is compiled in, each reduced to one flag check), so its
+   layer.  One serial fit is timed with collection disabled, with
+   metrics enabled and with the flight recorder enabled.  The three
+   legs run round-robin, one fit each per round, and each keeps its
+   fastest fit: a slow phase of the machine then lands on every leg
+   alike instead of on one leg's block of repeats.  The disabled run
+   exercises exactly the shipped hot path (every Obs call is compiled
+   in, each reduced to one flag check), so its
    alloc-per-observation-iteration figure is the steady-state number
    that must stay at zero. *)
-
-let min_time_of ~repeats f =
-  let best = ref infinity in
-  for _ = 1 to repeats do
-    let _, s = time_of f in
-    if s < !best then best := s
-  done;
-  !best
 
 let run_obs ~smoke =
   let t = if smoke then 2_000 else 20_000 in
@@ -153,19 +148,30 @@ let run_obs ~smoke =
   Obs.set_enabled false;
   ignore (fit ());
   let (_, stats), alloc_disabled = alloc_of fit in
-  let disabled_s = min_time_of ~repeats fit in
   Obs.set_enabled true;
   ignore (fit ());
   let _, alloc_enabled = alloc_of fit in
-  let enabled_s = min_time_of ~repeats fit in
   Obs.set_enabled false;
-  (* --- tracing leg: the same fit with the flight recorder on (metrics
-     off), then the fully-disabled allocation re-measured, proving the
-     tracing instrumentation still costs nothing when off. *)
   Obs.Trace.set_capacity 8192;
+  (* (metrics, trace) per leg: disabled, enabled, traced.  Round 0
+     warms each mode untimed. *)
+  let legs = [| (false, false); (true, false); (false, true) |] in
+  let best = Array.make (Array.length legs) infinity in
+  for round = 0 to repeats do
+    Array.iteri
+      (fun i (metrics, trace) ->
+        Obs.set_enabled metrics;
+        Obs.Trace.set_enabled trace;
+        let _, s = time_of fit in
+        if round > 0 && s < best.(i) then best.(i) <- s)
+      legs
+  done;
+  Obs.set_enabled false;
+  let disabled_s = best.(0) and enabled_s = best.(1) and traced_s = best.(2) in
+  (* --- tracing leg: count one fit's flight-recorder events, then
+     re-measure the fully-disabled allocation, proving the tracing
+     instrumentation still costs nothing when off. *)
   Obs.Trace.set_enabled true;
-  ignore (fit ());
-  let traced_s = min_time_of ~repeats fit in
   Obs.Trace.clear ();
   ignore (fit ());
   let trace_events = Obs.Trace.emitted () in
@@ -239,7 +245,7 @@ let run_obs ~smoke =
     \  \"fresh_ws_alloc_bytes\": %.0f,\n\
     \  \"warm_ws_saved_bytes_per_window\": %.0f,\n\
     \  \"warm_ws_identical_to_fresh\": true,\n\
-    \  \"note\": \"one serial MMHD fit timed with Obs collection off and on (min of %d repeats each); every instrumentation call is compiled in in both runs, the disabled run reduces each to a flag check. disabled_alloc_bytes_per_obs_iter is the steady-state allocation of the instrumented kernel with collection off and must stay at zero (the sub-byte slack absorbs Gc.allocated_bytes boxing its own result). the trace_* fields repeat the experiment with the flight recorder (Obs.Trace) enabled and metrics off: trace_overhead_ratio bounds what per-event ring emission costs the fit, trace_events_per_fit counts the events one fit records, and trace_disabled_alloc_bytes_per_obs_iter re-measures the disabled path after the tracing leg to prove the trace instrumentation is allocation-free when off. the warm_ws_* fields measure the Online.scan sliding-window pattern: window_fits informed-init fits over a sliding window, once reusing one warm workspace (what scan's per-domain domain_ws gives every window) and once allocating a fresh workspace per window; the workspace holds scaled sweep state but no statistics, so the warm fits are asserted bit-identical to the fresh ones, and warm_ws_saved_bytes_per_window is the allocation the reuse avoids.\"\n}\n"
+    \  \"note\": \"one serial MMHD fit timed with Obs collection off, metrics on and tracing on (min of %d repeats each, the three legs interleaved round-robin); every instrumentation call is compiled in in both runs, the disabled run reduces each to a flag check. disabled_alloc_bytes_per_obs_iter is the steady-state allocation of the instrumented kernel with collection off and must stay at zero (the sub-byte slack absorbs Gc.allocated_bytes boxing its own result). the trace_* fields repeat the experiment with the flight recorder (Obs.Trace) enabled and metrics off: trace_overhead_ratio bounds what per-event ring emission costs the fit, trace_events_per_fit counts the events one fit records, and trace_disabled_alloc_bytes_per_obs_iter re-measures the disabled path after the tracing leg to prove the trace instrumentation is allocation-free when off. the warm_ws_* fields measure the Online.scan sliding-window pattern: window_fits informed-init fits over a sliding window, once reusing one warm workspace (what scan's per-domain domain_ws gives every window) and once allocating a fresh workspace per window; the workspace holds scaled sweep state but no statistics, so the warm fits are asserted bit-identical to the fresh ones, and warm_ws_saved_bytes_per_window is the allocation the reuse avoids.\"\n}\n"
     t n m restarts max_iter stats.Mmhd.iterations disabled_s enabled_s overhead
     alloc_disabled alloc_enabled disabled_per_obs_iter traced_s trace_overhead
     trace_events disabled_after_per_obs_iter n_windows window

@@ -8,8 +8,8 @@
    Schema is documented in DESIGN.md ("BENCH_fleet.json").  The bench
    aborts (exit 1) if any pooled run diverges from the serial one, if
    the incremental path fails its speedup floor (>= 1x in smoke, >= 5x
-   in the full run), or if a steady-state path update allocates more
-   than its bound. *)
+   in the full run), or if a steady-state path update or gated push
+   allocates more than its bound. *)
 
 let time_of f =
   let t0 = Obs.Span.now_ns () in
@@ -114,6 +114,82 @@ let run_alloc buf =
     Printf.eprintf
       "FATAL: steady-state update alloc %.1f B above the %.0f B bound\n"
       bytes_per_update alloc_bound_bytes;
+    exit 1
+  end
+
+(* Steady-state allocation of one gated [Scheduler.push], in bytes: the
+   sketch triage's fold, count-min update, EWMA update and once-per-
+   epoch gate evaluation, plus queueing the batch when the path is
+   promoted (one list cell).  Each push is bracketed on its own, so
+   source pulls and ticks are not counted; measured on the calling
+   domain before any pool domain exists, over epochs after a warm-up
+   that lets the congested share promote.  Reported separately for
+   pushes that left the path quiet and pushes that queued a batch. *)
+let gated_alloc_warm_epochs = 8
+let gated_alloc_epochs = 8
+let gated_alloc_epoch_len = 16
+
+(* ~900 B per batch at the record-per-path triage; the column triage
+   allocates nothing for a quiet path and one list cell for a
+   promoted one. *)
+let gated_alloc_bound_bytes = 64.
+
+let run_gated_alloc ~smoke buf =
+  let paths = if smoke then 2000 else 4000 in
+  let rng = Stats.Rng.create 0x6A7ED in
+  let src =
+    Fleet.Source.synthetic ~templates:10 ~congested_fraction:0.1 ~rng ~paths ()
+  in
+  let config = Fleet.Path_state.config ~scheme:(Fleet.Source.scheme src) () in
+  let sched =
+    Fleet.Scheduler.create ~domains:1 ~gate:(Sketch.Gate.config ()) ~rng ~paths
+      config
+  in
+  let quiet = ref 0 and quiet_words = ref 0 in
+  let promoted = ref 0 and promoted_words = ref 0 in
+  for e = 1 to gated_alloc_warm_epochs + gated_alloc_epochs do
+    let measured = e > gated_alloc_warm_epochs in
+    for p = 0 to paths - 1 do
+      let batch = Fleet.Source.pull src ~path:p ~len:gated_alloc_epoch_len in
+      let w0 = minor_words () in
+      Fleet.Scheduler.push sched ~path:p batch;
+      let words = minor_words () - w0 in
+      if measured then
+        match Fleet.Scheduler.gate_view sched p with
+        | Some v when v.Fleet.Scheduler.promoted_path ->
+            incr promoted;
+            promoted_words := !promoted_words + words
+        | Some _ | None ->
+            incr quiet;
+            quiet_words := !quiet_words + words
+    done;
+    ignore (Fleet.Scheduler.tick sched : int)
+  done;
+  let per_push words pushes =
+    float_of_int (words * (Sys.word_size / 8)) /. float_of_int (max 1 pushes)
+  in
+  let quiet_b = per_push !quiet_words !quiet
+  and promoted_b = per_push !promoted_words !promoted
+  and all_b = per_push (!quiet_words + !promoted_words) (!quiet + !promoted) in
+  Printf.bprintf buf
+    "  \"gated_alloc\": {\"paths\": %d, \"warm_epochs\": %d, \"epochs\": %d,\n\
+    \    \"epoch_len\": %d, \"quiet_pushes\": %d, \"promoted_pushes\": %d,\n\
+    \    \"quiet_bytes_per_push\": %.1f, \"promoted_bytes_per_push\": %.1f,\n\
+    \    \"bytes_per_push\": %.1f, \"bound_bytes_per_push\": %.0f},\n"
+    paths gated_alloc_warm_epochs gated_alloc_epochs gated_alloc_epoch_len !quiet
+    !promoted quiet_b promoted_b all_b gated_alloc_bound_bytes;
+  Printf.eprintf
+    "bench_fleet: gated push allocates %.1f B (quiet %.1f B over %d, promoted \
+     %.1f B over %d)\n%!"
+    all_b quiet_b !quiet promoted_b !promoted;
+  if
+    Stats.Float_cmp.gt quiet_b gated_alloc_bound_bytes
+    || Stats.Float_cmp.gt promoted_b gated_alloc_bound_bytes
+  then begin
+    Printf.eprintf
+      "FATAL: gated push alloc (quiet %.1f B, promoted %.1f B) above the %.0f \
+       B bound\n"
+      quiet_b promoted_b gated_alloc_bound_bytes;
     exit 1
   end
 
@@ -513,8 +589,10 @@ let () =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf "{\n  \"bench\": \"fleet\",\n  \"cores\": %d,\n"
     (Stats.Pool.size ());
+  let gated = gated_only || not smoke in
+  (* First: the allocation counts need a domain with no pool yet. *)
+  if gated then run_gated_alloc ~smoke buf;
   if not gated_only then begin
-    (* First: the allocation count needs a domain with no pool yet. *)
     run_alloc buf;
     run_determinism ~smoke buf;
     run_speedup ~smoke buf;
@@ -524,12 +602,17 @@ let () =
   (* The gated triage section runs in the dedicated --gated smoke and
      in the full (non-smoke) bench; the pre-existing --smoke alias
      stays as cheap as it was. *)
-  if gated_only || not smoke then run_gated ~smoke buf;
+  if gated then run_gated ~smoke buf;
   Printf.bprintf buf
     "  \"note\": \"alloc counts minor-heap bytes per steady-state \
      Path_state.update (epochs after the first of a seeded 256-path fleet, \
      one domain, before the pool starts) and requires bytes_per_update <= \
-     bound_bytes_per_update. determinism re-runs the same seeded fleet \
+     bound_bytes_per_update. gated_alloc (gated runs only) counts minor-heap \
+     bytes per steady-state gated Scheduler.push (a seeded fleet with one \
+     congested template in ten, after a warm-up, one domain, before the \
+     pool starts), split by whether the push left the path quiet or queued \
+     its batch, and requires both <= bound_bytes_per_push. determinism \
+     re-runs the same seeded fleet \
      serially and on 2/4/8 pool domains and requires bitwise-equal model \
      fingerprints and transition logs. incremental_vs_refit feeds one pre-generated stream \
      through the streaming scheduler (one online-EM iteration per epoch, \

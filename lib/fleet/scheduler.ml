@@ -2,13 +2,14 @@
    fan the per-path updates (online-EM iteration + re-test) across the
    persistent Stats.Pool, one item per path.
 
-   Optionally gated by a sketch triage front end (Sketch.Gate): quiet
+   Optionally gated by a sketch triage front end (Sketch.Triage): quiet
    paths are tracked only by O(1) streaming estimators — a loss EWMA, a
    Robbins-Monro delay-quantile tracker and a count-min sketch over the
-   loss stream — and only paths the gate promotes hold pending batches
-   and run full inference.  All sketch state is updated at push time on
-   the driver's domain, in the caller's push order, so the pooled tick
-   still touches nothing shared.
+   loss stream, all flat per-path columns — and only paths the gate
+   promotes hold pending batches and run full inference.  All sketch
+   state is updated at push time on the driver's domain, in the
+   caller's push order, so the pooled tick still touches nothing
+   shared.
 
    Determinism contract (DESIGN.md §11-12): each item touches only its
    own path's state and the evaluating domain's cached workspace; every
@@ -77,20 +78,14 @@ type gate_stats = {
   sketch_only_observations : int;
 }
 
-(* Gate runtime: per-path estimators plus the shared count-min sketch
-   and the two quantized decay tables (one for coasting loss EWMAs over
-   skipped epochs, one for aging a re-promoted path's EM statistics).
-   Sized by the full path count; the EM side — pending batches, pool
-   items, workspaces — is sized by the *promoted* count. *)
+(* Gate runtime: the sketch triage (every path's estimators and gate
+   as columns, plus the shared count-min sketch) and the fleet-side
+   bookkeeping of promotions.  Sized by the full path count; the EM
+   side — pending batches, pool items, workspaces — is sized by the
+   *promoted* count. *)
 type gating = {
-  g_config : Sketch.Gate.config;
-  g_cms : Sketch.Count_min.t;
-  g_loss : Sketch.Estimators.Ewma.t array;
-  g_quant : Sketch.Estimators.Quantile.t array;
-  g_gates : Sketch.Gate.t array;
-  g_last_eval : int array; (* epoch of the path's last gate evaluation *)
+  g_triage : Sketch.Triage.t;
   g_last_em : int array; (* epoch of the path's last full-inference update *)
-  g_ewma_decay : Sketch.Estimators.Decay_table.t; (* (1 - alpha)^k *)
   g_stat_decay : Sketch.Estimators.Decay_table.t; (* lambda^k *)
   mutable g_promoted : int;
   mutable g_promotions : int;
@@ -116,32 +111,10 @@ type t = {
    never affects results. *)
 let pool_chunk = 64
 
-(* The loss EWMA's smoothing factor: ~7-epoch memory, enough to smooth
-   a single noisy batch without hiding a persistent shift. *)
-let ewma_alpha = 0.15
-
-(* The tracked delay quantile.  0.75 splits the template shapes the
-   tests themselves split: a strongly dominant VQD concentrates its
-   delay mass at the top symbols (high 0.75-quantile), a no-DCL shape
-   keeps it near the propagation floor. *)
-let quantile_p = 0.75
-
 let make_gating config ~paths g_config =
-  let m = config.Path_state.m in
   {
-    g_config;
-    (* Four rows at ~4 cells per path bound the collision inflation
-       well under one loss event at fleet scale. *)
-    g_cms = Sketch.Count_min.create ~width:(4 * paths) ~seed:0x5ce7c4 ();
-    g_loss = Array.init paths (fun _ -> Sketch.Estimators.Ewma.make ~alpha:ewma_alpha);
-    g_quant =
-      Array.init paths (fun _ ->
-          Sketch.Estimators.Quantile.make ~p:quantile_p ~lo:0.
-            ~hi:(float_of_int (m - 1)) ());
-    g_gates = Array.init paths (fun _ -> Sketch.Gate.create ());
-    g_last_eval = Array.make paths (-1);
+    g_triage = Sketch.Triage.create g_config ~paths ~symbols:config.Path_state.m;
     g_last_em = Array.make paths 0;
-    g_ewma_decay = Sketch.Estimators.Decay_table.make ~factor:(1. -. ewma_alpha) ();
     g_stat_decay =
       Sketch.Estimators.Decay_table.make ~factor:config.Path_state.lambda ();
     g_promoted = 0;
@@ -205,96 +178,70 @@ let gate_view t i =
   Option.map
     (fun g ->
       {
-        promoted_path = Sketch.Gate.promoted g.g_gates.(i);
-        loss_ewma = Sketch.Estimators.Ewma.value g.g_loss.(i);
-        drift = Sketch.Estimators.Quantile.elevation g.g_quant.(i);
-        loss_estimate = Sketch.Count_min.query g.g_cms i;
+        promoted_path = Sketch.Triage.promoted g.g_triage i;
+        loss_ewma = Sketch.Triage.loss_ewma g.g_triage i;
+        drift = Sketch.Triage.drift g.g_triage i;
+        loss_estimate = Sketch.Triage.loss_estimate g.g_triage i;
       })
     t.gating
 
-(* The sketch pass over one pushed batch: fold every observation into
-   the path's estimators (and the shared count-min sketch), then — once
-   per epoch, at the path's first push — run the gate.  Promotion ages
+(* The sketch pass over one pushed batch ([Sketch.Triage.push]: the
+   path's estimators, the shared count-min sketch and, once per epoch,
+   its gate), then the fleet side of a gate transition.  Promotion ages
    the path's dormant EM statistics by lambda^skipped through the
    quantized table so re-promotion is warm but correct; demotion leaves
    the path's model and conclusion in place (the verdict stays visible,
    the statistics merely stop updating until the gate re-promotes). *)
 let gated_push t g ~path:pidx batch =
   let len = Array.length batch in
-  let losses = ref 0 in
-  let quant = g.g_quant.(pidx) in
-  for i = 0 to len - 1 do
-    match Array.unsafe_get batch i with
-    | None -> incr losses
-    | Some y -> Sketch.Estimators.Quantile.update quant (float_of_int y)
-  done;
-  if !losses > 0 then Sketch.Count_min.add g.g_cms pidx !losses;
-  let ewma = g.g_loss.(pidx) in
-  (* Coast the EWMA over epochs the path was not pushed at all, so a
-     sparsely probed path's stale loss estimate decays like everyone
-     else's. *)
-  let missed = t.epoch - g.g_last_eval.(pidx) - 1 in
-  if g.g_last_eval.(pidx) >= 0 && missed > 0 then
-    Sketch.Estimators.Ewma.coast ewma g.g_ewma_decay missed;
-  Sketch.Estimators.Ewma.update ewma (float_of_int !losses /. float_of_int len);
-  if g.g_last_eval.(pidx) < t.epoch then begin
-    g.g_last_eval.(pidx) <- t.epoch;
-    (* The loss signal is the EWMA masked by the count-min estimate:
-       the sketch only ever overestimates, so a zero estimate proves a
-       loss-free decayed window and can never hide a real loser. *)
-    let loss =
-      if Sketch.Count_min.query g.g_cms pidx = 0 then 0.
-      else Sketch.Estimators.Ewma.value ewma
-    in
-    let drift = Sketch.Estimators.Quantile.elevation quant in
-    let p = t.paths.(pidx) in
-    let settled = Path_state.conclusion p = Some Dcl.Identify.No_dominant in
-    (* The cause refines the suspect boolean for the forensic record;
-       feeding [cause <> None] to the gate keeps its semantics
-       bit-identical to the plain [suspect] call. *)
-    let cause = Sketch.Gate.suspect_cause g.g_config ~loss ~drift in
-    let streak_before = Sketch.Gate.streak g.g_gates.(pidx) in
-    match
-      Sketch.Gate.step g.g_config g.g_gates.(pidx) ~suspect:(cause <> None)
-        ~calm:(Sketch.Gate.calm g.g_config ~loss ~drift)
-        ~settled
-    with
-    | Sketch.Gate.Stay -> ()
-    | Sketch.Gate.Promote ->
-        g.g_promoted <- g.g_promoted + 1;
-        g.g_promotions <- g.g_promotions + 1;
-        Obs.Counter.incr m_promotions;
-        let why =
-          match cause with Some c -> Sketch.Gate.cause_name c | None -> "suspect"
-        in
-        Timeline.record (Path_state.timeline p)
-          (Timeline.Gate
-             {
-               epoch = t.epoch;
-               promoted = true;
-               cause = why;
-               streak = streak_before + 1;
-             });
-        Obs.Trace.instant_d "gate.promote" why pidx;
-        let skipped = t.epoch - g.g_last_em.(pidx) - 1 in
-        if skipped > 0 then
-          Path_state.coast p
-            ~factor:(Sketch.Estimators.Decay_table.pow g.g_stat_decay skipped)
-    | Sketch.Gate.Demote ->
-        g.g_promoted <- g.g_promoted - 1;
-        g.g_demotions <- g.g_demotions + 1;
-        Obs.Counter.incr m_demotions;
-        Timeline.record (Path_state.timeline p)
-          (Timeline.Gate
-             {
-               epoch = t.epoch;
-               promoted = false;
-               cause = "calm";
-               streak = streak_before + 1;
-             });
-        Obs.Trace.instant_d "gate.demote" "calm" pidx
-  end;
-  if Sketch.Gate.promoted g.g_gates.(pidx) then
+  let p = t.paths.(pidx) in
+  let settled =
+    match Path_state.conclusion p with
+    | Some Dcl.Identify.No_dominant -> true
+    | Some (Dcl.Identify.Strongly_dominant | Dcl.Identify.Weakly_dominant)
+    | None ->
+        false
+  in
+  let tr = g.g_triage in
+  let streak_before = Sketch.Triage.streak tr pidx in
+  (match Sketch.Triage.push tr ~path:pidx ~epoch:t.epoch ~settled batch with
+  | Sketch.Gate.Stay -> ()
+  | Sketch.Gate.Promote ->
+      g.g_promoted <- g.g_promoted + 1;
+      g.g_promotions <- g.g_promotions + 1;
+      Obs.Counter.incr m_promotions;
+      let why =
+        match Sketch.Triage.cause tr with
+        | Some c -> Sketch.Gate.cause_name c
+        | None -> "suspect"
+      in
+      Timeline.record (Path_state.timeline p)
+        (Timeline.Gate
+           {
+             epoch = t.epoch;
+             promoted = true;
+             cause = why;
+             streak = streak_before + 1;
+           });
+      Obs.Trace.instant_d "gate.promote" why pidx;
+      let skipped = t.epoch - g.g_last_em.(pidx) - 1 in
+      if skipped > 0 then
+        Path_state.coast p
+          ~factor:(Sketch.Estimators.Decay_table.pow g.g_stat_decay skipped)
+  | Sketch.Gate.Demote ->
+      g.g_promoted <- g.g_promoted - 1;
+      g.g_demotions <- g.g_demotions + 1;
+      Obs.Counter.incr m_demotions;
+      Timeline.record (Path_state.timeline p)
+        (Timeline.Gate
+           {
+             epoch = t.epoch;
+             promoted = false;
+             cause = "calm";
+             streak = streak_before + 1;
+           });
+      Obs.Trace.instant_d "gate.demote" "calm" pidx);
+  if Sketch.Triage.promoted tr pidx then
     t.pending.(pidx) <- batch :: t.pending.(pidx)
   else begin
     g.g_skipped_obs <- g.g_skipped_obs + len;
@@ -306,13 +253,8 @@ let push t ~path batch =
     invalid_arg "Fleet.Scheduler.push: path index out of range";
   (* Rejected here, on the caller's domain, before the sketch folds the
      batch or a pooled update decays the path's statistics. *)
-  let m = t.config.Path_state.m in
-  for i = 0 to Array.length batch - 1 do
-    match Array.unsafe_get batch i with
-    | Some j when j < 0 || j >= m ->
-        invalid_arg "Fleet.Scheduler.push: observation symbol outside [0, m)"
-    | Some _ | None -> ()
-  done;
+  if not (Path_state.valid_batch t.config batch) then
+    invalid_arg "Fleet.Scheduler.push: observation symbol outside [0, m)";
   if Array.length batch > 0 then
     match t.gating with
     | None -> t.pending.(path) <- batch :: t.pending.(path)
@@ -369,7 +311,7 @@ let tick t =
       (* Age the shared loss sketch once per epoch, mirroring the
          per-path EWMA decay, and record who ran full inference (for
          warm re-promotion's catch-up aging). *)
-      Sketch.Count_min.halve g.g_cms;
+      Sketch.Triage.age g.g_triage;
       for i = 0 to n - 1 do
         g.g_last_em.(t.active.(i)) <- t.epoch
       done;
@@ -430,11 +372,12 @@ let fingerprint t =
   | None -> ()
   | Some g ->
       for i = 0 to Array.length t.paths - 1 do
-        mixi (if Sketch.Gate.promoted g.g_gates.(i) then 1 else 0);
-        mixi (Sketch.Gate.streak g.g_gates.(i));
-        mixf (Sketch.Estimators.Ewma.value g.g_loss.(i));
-        mixf (Sketch.Estimators.Quantile.value g.g_quant.(i));
-        mixi (Sketch.Count_min.query g.g_cms i)
+        let tr = g.g_triage in
+        mixi (if Sketch.Triage.promoted tr i then 1 else 0);
+        mixi (Sketch.Triage.streak tr i);
+        mixf (Sketch.Triage.loss_ewma tr i);
+        mixf (Sketch.Triage.quantile tr i);
+        mixi (Sketch.Triage.loss_estimate tr i)
       done;
       mixi g.g_promoted;
       mixi g.g_promotions;

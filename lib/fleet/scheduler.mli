@@ -7,11 +7,12 @@
     online-EM iteration plus SDCL/WDCL re-test ({!Path_state.update})
     — across {!Stats.Pool}, then emits conclusion transitions.
 
-    {b Sketch gating.}  With [?gate] set, a triage front end tracks
-    every path with O(1)-per-observation streaming estimators — a loss
-    EWMA, a Robbins-Monro delay-quantile tracker and a shared
-    count-min sketch over the loss stream ({!Sketch}) — and only paths
-    the gate promotes ({!Sketch.Gate.step}) accumulate pending batches
+    {b Sketch gating.}  With [?gate] set, a triage front end
+    ({!Sketch.Triage}) tracks every path with O(1)-per-observation
+    streaming estimators — a loss EWMA, a Robbins-Monro delay-quantile
+    tracker and a shared count-min sketch over the loss stream — kept
+    as flat per-path columns, and only paths the gate promotes
+    ({!Sketch.Gate.evaluate}) accumulate pending batches
     and run full inference at {!tick}.  Quiet paths cost no EM work,
     hold no pending memory, and the pool fan-out is sized by the
     promoted count.  Promotion after sustained suspicion applies the
@@ -65,7 +66,7 @@ val push : t -> path:int -> Em.observation array -> unit
     not mutate it afterwards).  Empty batches are dropped.  When
     gated, the batch first updates the path's sketch estimators (and,
     once per epoch, its gate); a quiet path's batch is then absorbed
-    by the sketches and dropped instead of queued.  Raises
+    by the sketches and dropped instead of queued, without allocating.  Raises
     [Invalid_argument] on an out-of-range index, or on a symbol outside
     the scheme's [\[0, m)] (the fleet is then left as it was). *)
 

@@ -34,9 +34,11 @@ let config ?(loss_threshold = 0.2) ?(drift_threshold = 0.75) ?(promote_after = 2
   then invalid_arg "Sketch.Gate.config: demote_margin must be in [0, 1]";
   { loss_threshold; drift_threshold; promote_after; demote_after; demote_margin }
 
-let suspect cfg ~loss ~drift =
-  Stats.Float_cmp.geq loss cfg.loss_threshold
-  || Stats.Float_cmp.geq drift cfg.drift_threshold
+(* Direct float comparisons (exactly [Stats.Float_cmp.geq]/[lt] at zero
+   slack), inlined so evaluating the gate boxes no float. *)
+let[@inline] loss_high cfg loss = loss >= cfg.loss_threshold
+let[@inline] drift_high cfg drift = drift >= cfg.drift_threshold
+let[@inline] suspect cfg ~loss ~drift = loss_high cfg loss || drift_high cfg drift
 
 type cause = Loss | Drift | Both
 
@@ -48,51 +50,55 @@ let cause_name = function
   | Both -> "loss-ewma+drift"
 
 let suspect_cause cfg ~loss ~drift =
-  let l = Stats.Float_cmp.geq loss cfg.loss_threshold in
-  let d = Stats.Float_cmp.geq drift cfg.drift_threshold in
-  match (l, d) with
+  match (loss_high cfg loss, drift_high cfg drift) with
   | true, true -> Some Both
   | true, false -> Some Loss
   | false, true -> Some Drift
   | false, false -> None
 
-let calm cfg ~loss ~drift =
-  Stats.Float_cmp.lt loss (cfg.demote_margin *. cfg.loss_threshold)
-  && Stats.Float_cmp.lt drift (cfg.demote_margin *. cfg.drift_threshold)
+let[@inline] calm cfg ~loss ~drift =
+  loss < cfg.demote_margin *. cfg.loss_threshold
+  && drift < cfg.demote_margin *. cfg.drift_threshold
 
-type t = { mutable promoted : bool; mutable streak : int }
+(* One promoted flag and one streak per path, as two columns. *)
+type t = { promoted : bool array; streak : int array }
 
-let create () = { promoted = false; streak = 0 }
-let promoted t = t.promoted
-let streak t = t.streak
+let create n = { promoted = Array.make n false; streak = Array.make n 0 }
+let promoted t i = t.promoted.(i)
+let streak t i = t.streak.(i)
 
 type decision = Stay | Promote | Demote
 
-let step cfg t ~suspect ~calm ~settled =
-  if t.promoted then
+let step cfg t i ~suspect ~calm ~settled =
+  if t.promoted.(i) then
     if calm && settled then begin
-      t.streak <- t.streak + 1;
-      if t.streak >= cfg.demote_after then begin
-        t.promoted <- false;
-        t.streak <- 0;
+      t.streak.(i) <- t.streak.(i) + 1;
+      if t.streak.(i) >= cfg.demote_after then begin
+        t.promoted.(i) <- false;
+        t.streak.(i) <- 0;
         Demote
       end
       else Stay
     end
     else begin
-      t.streak <- 0;
+      t.streak.(i) <- 0;
       Stay
     end
   else if suspect then begin
-    t.streak <- t.streak + 1;
-    if t.streak >= cfg.promote_after then begin
-      t.promoted <- true;
-      t.streak <- 0;
+    t.streak.(i) <- t.streak.(i) + 1;
+    if t.streak.(i) >= cfg.promote_after then begin
+      t.promoted.(i) <- true;
+      t.streak.(i) <- 0;
       Promote
     end
     else Stay
   end
   else begin
-    t.streak <- 0;
+    t.streak.(i) <- 0;
     Stay
   end
+
+let evaluate cfg t i (s : Estimators.signals) ~settled =
+  let loss = s.loss and drift = s.drift in
+  step cfg t i ~suspect:(suspect cfg ~loss ~drift) ~calm:(calm cfg ~loss ~drift)
+    ~settled

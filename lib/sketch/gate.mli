@@ -1,5 +1,9 @@
 (** Promotion/demotion state machine with hysteresis — the per-path
-    policy core of the sketch-gated triage front end.
+    policy core of the sketch-gated triage front end.  The state of
+    every path lives in two flat columns (promoted flag, streak)
+    indexed by path; {!evaluate} reads a path's signals from an
+    all-float {!Estimators.signals} record, so an epoch's evaluation
+    boxes no float.
 
     A path is {e Quiet} (tracked only by the O(1) sketch estimators) or
     {e Promoted} (running full incremental EM and SDCL/WDCL re-tests).
@@ -59,19 +63,26 @@ val calm : config -> loss:float -> drift:float -> bool
 (** Both signals strictly below their margin-shrunk thresholds. *)
 
 type t
-(** One path's gate state: promoted flag plus the current streak. *)
+(** The gate state of a fleet of paths: one promoted flag and one
+    streak per path, stored as two columns and addressed by path
+    index. *)
 
-val create : unit -> t
-(** Fresh Quiet gate. *)
+val create : int -> t
+(** [create n]: [n] fresh Quiet gates, indices [0 .. n-1]. *)
 
-val promoted : t -> bool
+val promoted : t -> int -> bool
 
-val streak : t -> int
-(** Consecutive qualifying epochs toward the next transition. *)
+val streak : t -> int -> int
+(** Consecutive qualifying epochs toward the path's next transition. *)
 
 type decision = Stay | Promote | Demote
 
-val step : config -> t -> suspect:bool -> calm:bool -> settled:bool -> decision
-(** Advance one epoch.  [Promote] and [Demote] are returned exactly on
-    the epoch the state flips; the caller owns the side effects
-    (moving the path on or off full inference). *)
+val step :
+  config -> t -> int -> suspect:bool -> calm:bool -> settled:bool -> decision
+(** Advance path [i] one epoch.  [Promote] and [Demote] are returned
+    exactly on the epoch the state flips; the caller owns the side
+    effects (moving the path on or off full inference). *)
+
+val evaluate : config -> t -> int -> Estimators.signals -> settled:bool -> decision
+(** [step] with [suspect] and [calm] computed from the path's two
+    signals.  Allocates nothing. *)

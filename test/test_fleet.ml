@@ -572,6 +572,60 @@ let test_path_state_coast () =
     (Invalid_argument "Fleet.Path_state.coast: factor must be in [0, 1]")
     (fun () -> Fleet.Path_state.coast p ~factor:1.5)
 
+(* A direct [update] with a symbol outside [0, m) raises before the path
+   changes at all: statistics, model bits, weight, counters and
+   timeline are as they were. *)
+let test_path_state_rejects_out_of_range () =
+  let config = Fleet.Path_state.config ~scheme:scheme5 () in
+  let p = Fleet.Path_state.create config ~rng:(Stats.Rng.create 4) in
+  let ws = Em.workspace () in
+  let batch = Array.init 64 (fun i -> if i mod 9 = 0 then None else Some (i mod 5)) in
+  for epoch = 1 to 3 do
+    ignore (Fleet.Path_state.update ~ws ~epoch p batch : bool)
+  done;
+  let snapshot () =
+    let st = Fleet.Path_state.stats p in
+    let model = Option.get (Fleet.Path_state.model p) in
+    let bits a = Array.to_list (Array.map Int64.bits_of_float a) in
+    ( List.concat_map bits
+        [
+          Em.Incremental.xi st;
+          Em.Incremental.gamma_sum st;
+          Em.Incremental.count_obs st;
+          Em.Incremental.count_loss st;
+          Em.Incremental.pi0 st;
+          Em.Incremental.filtered_end st;
+          model.Em.pi;
+          model.Em.a;
+          model.Em.b;
+          model.Em.c;
+          [| Fleet.Path_state.weight p; Em.Incremental.log_likelihood st |];
+        ],
+      [
+        Fleet.Path_state.epochs p;
+        Fleet.Path_state.observations p;
+        Em.Incremental.batches st;
+      ],
+      Fleet.Timeline.to_json (Fleet.Path_state.timeline p) )
+  in
+  let before = snapshot () in
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises
+        (Printf.sprintf "update rejects Some %d" bad)
+        (Invalid_argument
+           "Fleet.Path_state.update: observation symbol outside [0, m)")
+        (fun () ->
+          ignore
+            (Fleet.Path_state.update ~ws ~epoch:4 p [| Some 0; Some bad; None |]
+              : bool)))
+    [ 5; 6; -1 ];
+  let bits, counters, timeline = snapshot () in
+  let bits0, counters0, timeline0 = before in
+  Alcotest.(check (list int64)) "statistics, model and weight bits" bits0 bits;
+  Alcotest.(check (list int)) "epochs, observations, batches" counters0 counters;
+  Alcotest.(check string) "timeline" timeline0 timeline
+
 (* --- sketch gating ------------------------------------------------------ *)
 
 (* Hand-built epochs so the gate's inputs are exact.  A hot batch loses
@@ -585,6 +639,40 @@ let cold_batch len = Array.init len (fun i -> Some (i mod 2))
 let gated_sched ?(gate = Sketch.Gate.config ()) ~paths () =
   let config = Fleet.Path_state.config ~scheme:scheme5 () in
   Fleet.Scheduler.create ~gate ~rng:(Stats.Rng.create 3) ~paths config
+
+(* A quiet path's gated push — the one pass over the batch, the
+   count-min add and query, the EWMA update and, at the epoch's first
+   push, the gate evaluation — allocates nothing once the fleet is
+   warm.  The batches lose one probe in sixteen at the bottom symbols:
+   suspect on neither signal.  Runs in the "allocation" group, before
+   any test spawns the pool. *)
+let test_gated_quiet_push_allocation () =
+  let paths = 4 in
+  let sched = gated_sched ~paths () in
+  let batch = Array.init 16 (fun i -> if i = 5 then None else Some (i mod 2)) in
+  let epoch ~measure =
+    let worst = ref 0 in
+    for p = 0 to paths - 1 do
+      (* The first push of the epoch evaluates the gate; the second
+         only folds. *)
+      for _ = 1 to 2 do
+        let w0 = minor_words () in
+        Fleet.Scheduler.push sched ~path:p batch;
+        if measure then worst := max !worst (minor_words () - w0)
+      done
+    done;
+    ignore (Fleet.Scheduler.tick sched : int);
+    !worst
+  in
+  for _ = 1 to 4 do
+    ignore (epoch ~measure:false : int)
+  done;
+  let worst = ref 0 in
+  for _ = 1 to 4 do
+    worst := max !worst (epoch ~measure:true)
+  done;
+  Alcotest.(check int) "no path promoted" 0 (Fleet.Scheduler.promoted_count sched);
+  Alcotest.(check int) "words per quiet push" 0 !worst
 
 let test_gate_promotes_congested_within_h () =
   let h = 2 in
@@ -885,6 +973,8 @@ let () =
         [
           Alcotest.test_case "update round <= 32 words" `Quick
             test_update_round_allocation;
+          Alcotest.test_case "gated quiet push allocates nothing" `Quick
+            test_gated_quiet_push_allocation;
           Alcotest.test_case "timeline record allocates nothing" `Quick
             test_timeline_record_allocation;
         ] );
@@ -915,6 +1005,8 @@ let () =
           Alcotest.test_case "gates" `Quick test_path_state_gates;
           Alcotest.test_case "config validation" `Quick test_config_validation;
           Alcotest.test_case "coast" `Quick test_path_state_coast;
+          Alcotest.test_case "update rejects out-of-range symbols" `Quick
+            test_path_state_rejects_out_of_range;
         ] );
       ( "gating",
         [

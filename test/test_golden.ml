@@ -156,6 +156,37 @@ let test_gated_fleet_fingerprint () =
   Alcotest.(check string) "gated fingerprint" "358d2ea22c5704b3"
     (Fleet.Scheduler.fingerprint sched)
 
+(* The default gate over a longer, mostly quiet run.  80 epochs of 16
+   observations take every quiet path's delay-quantile gain through
+   several levels and the shared count-min sketch through 80 halvings;
+   one push in eleven is skipped, so estimators coast over missed
+   epochs and re-promoted paths catch up on their decay. *)
+let test_default_gated_fleet_fingerprint () =
+  let paths = 256 and epochs = 80 and epoch_len = 16 in
+  let rng = Stats.Rng.create 4242 in
+  let src =
+    Fleet.Source.synthetic ~templates:10 ~congested_fraction:0.1 ~rng ~paths ()
+  in
+  let config = Fleet.Path_state.config ~scheme:(Fleet.Source.scheme src) () in
+  let sched =
+    Fleet.Scheduler.create ~domains:1 ~gate:(Sketch.Gate.config ()) ~rng ~paths
+      config
+  in
+  for e = 1 to epochs do
+    for p = 0 to paths - 1 do
+      let batch = Fleet.Source.pull src ~path:p ~len:epoch_len in
+      if ((7 * p) + e) mod 11 <> 0 then Fleet.Scheduler.push sched ~path:p batch
+    done;
+    ignore (Fleet.Scheduler.tick sched : int)
+  done;
+  let gs = Option.get (Fleet.Scheduler.gate_stats sched) in
+  Alcotest.(check (triple int int int)) "promotions, demotions, promoted" (27, 3, 24)
+    ( gs.Fleet.Scheduler.promotions,
+      gs.Fleet.Scheduler.demotions,
+      gs.Fleet.Scheduler.promoted );
+  Alcotest.(check string) "default gated fingerprint" "b8edb23b5b08f3a3"
+    (Fleet.Scheduler.fingerprint sched)
+
 (* A fixed mixed history through a 7-slot ring: three entries are
    overwritten, and the seven retained ones hold every entry kind (both
    gate directions), every verdict, an absent and a zero bound, and
@@ -212,6 +243,8 @@ let () =
           Alcotest.test_case "fleet fingerprint" `Quick test_fleet_fingerprint;
           Alcotest.test_case "gated fleet fingerprint" `Quick
             test_gated_fleet_fingerprint;
+          Alcotest.test_case "default gated fleet fingerprint" `Quick
+            test_default_gated_fleet_fingerprint;
         ] );
       ( "fleet output",
         [ Alcotest.test_case "timeline json" `Quick test_timeline_json ] );
