@@ -60,11 +60,27 @@ let nonneg_float ~what =
   in
   Arg.conv ~docv:"X" (parse, Format.pp_print_float)
 
+type source = Synth | Sim | Trace of Probe.Trace.t
+
+(* A trace file is loaded while the arguments are parsed, so a
+   malformed or non-finite trace is a usage error too, and so is one
+   the replay cannot discretize (no surviving probe, or no delay
+   spread). *)
+let load_replayable file =
+  let trace = Probe.Trace.load file in
+  ignore (Dcl.Discretize.of_trace ~m:1 ~prop_delay:From_trace trace : Dcl.Discretize.t);
+  trace
+
 let source_conv =
   let parse s =
     match s with
-    | "synth" | "sim" -> Ok s
-    | file when Sys.file_exists file -> Ok file
+    | "synth" -> Ok Synth
+    | "sim" -> Ok Sim
+    | file when Sys.file_exists file -> (
+        match load_replayable file with
+        | trace -> Ok (Trace trace)
+        | exception (Sys_error msg | Failure msg | Invalid_argument msg) ->
+            Error (`Msg (Printf.sprintf "cannot replay trace %S: %s" file msg)))
     | s ->
         Error
           (`Msg
@@ -73,12 +89,17 @@ let source_conv =
                  existing probe trace file"
                 s))
   in
-  Arg.conv ~docv:"SRC" (parse, Format.pp_print_string)
+  let print ppf = function
+    | Synth -> Format.pp_print_string ppf "synth"
+    | Sim -> Format.pp_print_string ppf "sim"
+    | Trace t -> Format.fprintf ppf "<trace of %d probes>" (Probe.Trace.length t)
+  in
+  Arg.conv ~docv:"SRC" (parse, print)
 
 let build_source source rng ~paths ~m ~congested_fraction ~seed =
   match source with
-  | "synth" -> Fleet.Source.synthetic ~congested_fraction ~m ~rng ~paths ()
-  | "sim" ->
+  | Synth -> Fleet.Source.synthetic ~congested_fraction ~m ~rng ~paths ()
+  | Sim ->
       (* A strongly-dominant run of the paper topology; 60 s of probing
          keeps startup short while leaving thousands of symbols to
          replay. *)
@@ -86,7 +107,7 @@ let build_source source rng ~paths ~m ~congested_fraction ~seed =
       let config = Scenarios.Presets.strongly_dcl ~seed ~duration:60. ~bw3 () in
       let outcome = Scenarios.Paper_topology.run config in
       Fleet.Source.of_trace ~m ~paths outcome.Scenarios.Paper_topology.trace
-  | file -> Fleet.Source.of_trace ~m ~paths (Probe.Trace.load file)
+  | Trace trace -> Fleet.Source.of_trace ~m ~paths trace
 
 let conclusion_name = function
   | None -> "untested"
@@ -334,7 +355,7 @@ let domains_arg =
 
 let source_arg =
   Arg.(
-    value & opt source_conv "synth"
+    value & opt source_conv Synth
     & info [ "source" ] ~docv:"SRC"
         ~doc:
           "Observation source: $(b,synth) (shared ground-truth templates), \

@@ -13,9 +13,8 @@ let models =
     ("markov", Dcl.Identify.Model_markov);
   ]
 
-let run file model n m beta eps prop_delay seed fine_bound domains metrics =
+let run trace model n m beta eps prop_delay seed fine_bound domains metrics =
   Obs_cli.with_metrics metrics @@ fun () ->
-  let trace = Probe.Trace.load file in
   Printf.printf "trace: %d probes over %.0f s, loss rate %.3f%%\n" (Probe.Trace.length trace)
     (Probe.Trace.duration trace)
     (100. *. Probe.Trace.loss_rate trace);
@@ -79,8 +78,20 @@ let run file model n m beta eps prop_delay seed fine_bound domains metrics =
     0
   end
 
-let file_arg =
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE" ~doc:"Probe trace file.")
+(* The trace is loaded while the arguments are parsed, so a missing,
+   malformed or non-finite trace file is a usage error (exit 124) with
+   the loader's message. *)
+let trace_conv =
+  let parse file =
+    match Probe.Trace.load file with
+    | trace -> Ok trace
+    | exception (Sys_error msg | Failure msg | Invalid_argument msg) -> Error (`Msg msg)
+  in
+  let print ppf t = Format.fprintf ppf "<trace of %d probes>" (Probe.Trace.length t) in
+  Arg.conv ~docv:"TRACE" (parse, print)
+
+let trace_arg =
+  Arg.(required & pos 0 (some trace_conv) None & info [] ~docv:"TRACE" ~doc:"Probe trace file.")
 
 let model_arg =
   Arg.(
@@ -136,7 +147,7 @@ let cmd =
   Cmd.v
     (Cmd.info "dcl-identify" ~doc)
     Term.(
-      const run $ file_arg $ model_arg $ n_arg $ m_arg $ beta_arg $ eps_arg $ prop_arg
+      const run $ trace_arg $ model_arg $ n_arg $ m_arg $ beta_arg $ eps_arg $ prop_arg
       $ seed_arg $ fine_arg $ domains_arg $ Obs_cli.metrics_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -3,6 +3,8 @@ type prop_delay = Known of float | From_trace
 
 let of_range ~m ~lo ~hi =
   if m <= 0 then invalid_arg "Discretize.of_range: m <= 0";
+  if not (Float.is_finite lo && Float.is_finite hi) then
+    invalid_arg "Discretize.of_range: non-finite bound";
   if hi <= lo then invalid_arg "Discretize.of_range: hi <= lo";
   { m; lo; hi; width = (hi -. lo) /. float_of_int m }
 

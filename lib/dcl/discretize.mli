@@ -24,6 +24,8 @@ val of_trace : m:int -> prop_delay:prop_delay -> Probe.Trace.t -> t
 (** Requires at least two distinct observed delays. *)
 
 val of_range : m:int -> lo:float -> hi:float -> t
+(** Raises [Invalid_argument] unless [m > 0], both bounds are finite and
+    [hi > lo]. *)
 
 val symbol_of_delay : t -> float -> int
 (** Clamped to [\[0, m-1\]]. *)

@@ -68,10 +68,9 @@ val scan :
     [Domain.DLS] and warm across pool jobs), so consecutive windows on
     a domain reuse grown buffers instead of re-allocating them.  The
     reuse is layout-only — a warm workspace holds no carried state, so
-    the fitted models are bit-identical to fresh-workspace fits; both
-    properties (identity asserted, bytes saved per window reported as
-    the [warm_ws_*] fields) are measured by [bench_em --obs] in
-    [BENCH_obs.json].
+    the fitted models are bit-identical to fresh-workspace fits
+    (asserted in [test/test_em.ml], "warm workspace = fresh across
+    windows").
 
     [on_change] is called once per conclusion transition — each
     consecutive window pair whose conclusions differ — with the

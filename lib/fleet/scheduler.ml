@@ -338,8 +338,6 @@ let tick t =
   end;
   n
 
-let epoch_histogram = h_epoch
-
 let fingerprint t =
   (* Order-sensitive fold over every path's model parameters and
      conclusion: any bitwise divergence between two fleets (e.g. a

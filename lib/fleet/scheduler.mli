@@ -118,11 +118,6 @@ val gate_view : t -> int -> gate_view option
 (** The path's sketch-side state, for tests and operator dashboards;
     [None] when ungated.  Raises [Invalid_argument] out of range. *)
 
-val epoch_histogram : Obs.histogram
-(** The shared ["dcl_fleet_epoch_seconds"] tick-latency histogram
-    (populated when {!Obs} collection is enabled), exposed so benches
-    can read quantiles without re-registering the metric. *)
-
 val fingerprint : t -> string
 (** Order-sensitive hash over every path's model parameters,
     conclusion and statistics weight — plus, when gated, every path's

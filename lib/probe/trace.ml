@@ -16,7 +16,16 @@ type t = {
 }
 
 let create ~records ~interval ~base_delay ~hop_count =
+  if not (Float.is_finite interval) then invalid_arg "Trace.create: non-finite interval";
   if interval <= 0. then invalid_arg "Trace.create: interval <= 0";
+  if not (Float.is_finite base_delay) then invalid_arg "Trace.create: non-finite base delay";
+  Array.iter
+    (fun r ->
+      if not (Float.is_finite r.send_time) then invalid_arg "Trace.create: non-finite send time";
+      match r.obs with
+      | Delay d when not (Float.is_finite d) -> invalid_arg "Trace.create: non-finite delay"
+      | Delay _ | Lost -> ())
+    records;
   { records; interval; base_delay; hop_count }
 
 let length t = Array.length t.records
@@ -115,38 +124,43 @@ let load file =
   Fun.protect
     ~finally:(fun () -> close_in ic)
     (fun () ->
-      let header = input_line ic in
+      let bad_header () = failwith "Trace.load: bad header" in
+      let header = try input_line ic with End_of_file -> bad_header () in
       let interval, base_delay, hop_count =
         match String.split_on_char ' ' header with
-        | [ "dcltrace"; "1"; i; b; h ] ->
-            (float_of_string i, float_of_string b, int_of_string h)
-        | _ -> failwith "Trace.load: bad header"
+        | [ "dcltrace"; "1"; i; b; h ] -> (
+            try (float_of_string i, float_of_string b, int_of_string h)
+            with Failure _ -> bad_header ())
+        | _ -> bad_header ()
+      in
+      let parse_record line =
+        match String.split_on_char ' ' line with
+        | send :: obs :: rest ->
+            let send_time = float_of_string send in
+            let obs = if obs = "L" then Lost else Delay (float_of_string obs) in
+            let truth =
+              match rest with
+              | "T" :: vqd :: hop :: qs ->
+                  Some
+                    {
+                      virtual_queuing_delay = float_of_string vqd;
+                      loss_hop = (if hop = "-" then None else Some (int_of_string hop));
+                      hop_queuing = Array.of_list (List.map float_of_string qs);
+                    }
+              | [] -> None
+              | _ -> raise Exit
+            in
+            { send_time; obs; truth }
+        | _ -> raise Exit
       in
       let records = ref [] in
       (try
          while true do
            let line = input_line ic in
-           if String.length line > 0 then begin
-             let fields = String.split_on_char ' ' line in
-             match fields with
-             | send :: obs :: rest ->
-                 let send_time = float_of_string send in
-                 let obs = if obs = "L" then Lost else Delay (float_of_string obs) in
-                 let truth =
-                   match rest with
-                   | "T" :: vqd :: hop :: qs ->
-                       Some
-                         {
-                           virtual_queuing_delay = float_of_string vqd;
-                           loss_hop = (if hop = "-" then None else Some (int_of_string hop));
-                           hop_queuing = Array.of_list (List.map float_of_string qs);
-                         }
-                   | [] -> None
-                   | _ -> failwith "Trace.load: bad record"
-                 in
-                 records := { send_time; obs; truth } :: !records
-             | _ -> failwith "Trace.load: bad record"
-           end
+           if String.length line > 0 then
+             match parse_record line with
+             | r -> records := r :: !records
+             | exception (Failure _ | Exit) -> failwith "Trace.load: bad record"
          done
        with End_of_file -> ());
       create ~records:(Array.of_list (List.rev !records)) ~interval ~base_delay ~hop_count)

@@ -23,6 +23,11 @@ type t = {
 
 val create :
   records:record array -> interval:float -> base_delay:float -> hop_count:int -> t
+(** Raises [Invalid_argument] unless [interval] is finite and positive
+    and [base_delay], every send time and every observed delay are
+    finite: one NaN delay would make {!min_delay} and {!max_delay} NaN
+    and silently collapse every discretized symbol.  The ground-truth
+    fields are not checked. *)
 
 val length : t -> int
 val losses : t -> int
@@ -62,4 +67,6 @@ val save : t -> string -> unit
     retained when present). *)
 
 val load : string -> t
-(** Inverse of {!save}. *)
+(** Inverse of {!save}.  Raises [Failure] on a missing or malformed
+    header or record (an empty file included) and [Invalid_argument]
+    as {!create} does. *)

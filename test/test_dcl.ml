@@ -37,7 +37,16 @@ let test_discretize_invalid () =
   Alcotest.check_raises "m <= 0" (Invalid_argument "Discretize.of_range: m <= 0")
     (fun () -> ignore (Dcl.Discretize.of_range ~m:0 ~lo:0. ~hi:1.));
   Alcotest.check_raises "hi <= lo" (Invalid_argument "Discretize.of_range: hi <= lo")
-    (fun () -> ignore (Dcl.Discretize.of_range ~m:5 ~lo:1. ~hi:1.))
+    (fun () -> ignore (Dcl.Discretize.of_range ~m:5 ~lo:1. ~hi:1.));
+  (* A NaN bound fails every comparison, so [hi <= lo] alone lets it
+     through and every delay then maps to symbol 0. *)
+  List.iter
+    (fun (lo, hi) ->
+      Alcotest.check_raises
+        (Printf.sprintf "bounds [%g, %g]" lo hi)
+        (Invalid_argument "Discretize.of_range: non-finite bound")
+        (fun () -> ignore (Dcl.Discretize.of_range ~m:5 ~lo ~hi)))
+    [ (0., Float.nan); (Float.nan, 1.); (0., Float.infinity); (Float.neg_infinity, 1.) ]
 
 let mk_trace ?(interval = 0.02) records =
   Probe.Trace.create ~records:(Array.of_list records) ~interval ~base_delay:0.1

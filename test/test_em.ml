@@ -1,6 +1,7 @@
-(* Tests for the shared EM kernel: parallel-restart determinism,
-   degenerate-restart skipping, workspace reuse across
-   differently-sized models, and rejection of out-of-range symbols. *)
+(* Tests for the shared EM kernel: allocation-free disabled
+   instrumentation, parallel-restart determinism, degenerate-restart
+   skipping, workspace reuse across windows and differently-sized
+   models, and rejection of out-of-range symbols. *)
 
 let check_float = Alcotest.(check (float 1e-12))
 
@@ -28,18 +29,29 @@ let check_same_floats name a b =
 let check_same_matrix name a b =
   Array.iteri (fun i row -> check_same_floats (Printf.sprintf "%s row %d" name i) row b.(i)) a
 
+(* Four restarts raced on 2 and 4 domains, for n = 2 and n = 4 hidden
+   levels per delay symbol. *)
 let test_mmhd_parallel_determinism () =
   let obs = mmhd_obs ~seed:11 ~len:1500 in
-  let fit domains =
-    Mmhd.fit ~max_iter:25 ~restarts:4 ~domains ~rng:(Stats.Rng.create 5) ~n:2 ~m:4 obs
-  in
-  let serial, s_stats = fit 1 in
-  let parallel, p_stats = fit 4 in
-  check_same_floats "pi" serial.Mmhd.pi parallel.Mmhd.pi;
-  check_same_matrix "a" serial.Mmhd.a parallel.Mmhd.a;
-  check_same_floats "c" serial.Mmhd.c parallel.Mmhd.c;
-  check_float "log-likelihood" s_stats.Mmhd.log_likelihood p_stats.Mmhd.log_likelihood;
-  Alcotest.(check int) "iterations" s_stats.Mmhd.iterations p_stats.Mmhd.iterations
+  List.iter
+    (fun n ->
+      let fit domains =
+        Mmhd.fit ~max_iter:25 ~restarts:4 ~domains ~rng:(Stats.Rng.create 5) ~n ~m:4 obs
+      in
+      let serial, s_stats = fit 1 in
+      List.iter
+        (fun domains ->
+          let parallel, p_stats = fit domains in
+          let name what = Printf.sprintf "%s (n=%d, %d domains)" what n domains in
+          check_same_floats (name "pi") serial.Mmhd.pi parallel.Mmhd.pi;
+          check_same_matrix (name "a") serial.Mmhd.a parallel.Mmhd.a;
+          check_same_floats (name "c") serial.Mmhd.c parallel.Mmhd.c;
+          check_float (name "log-likelihood") s_stats.Mmhd.log_likelihood
+            p_stats.Mmhd.log_likelihood;
+          Alcotest.(check int) (name "iterations") s_stats.Mmhd.iterations
+            p_stats.Mmhd.iterations)
+        [ 2; 4 ])
+    [ 2; 4 ]
 
 let test_hmm_parallel_determinism () =
   let obs = hmm_obs ~seed:13 ~len:1500 in
@@ -61,6 +73,83 @@ let test_more_domains_than_restarts () =
     fst (Mmhd.fit ~max_iter:10 ~restarts:2 ~domains ~rng:(Stats.Rng.create 3) ~n:2 ~m:4 obs)
   in
   check_same_floats "pi" (fit 1).Mmhd.pi (fit 8).Mmhd.pi
+
+(* --- instrumentation off costs nothing ---------------------------------- *)
+
+(* Bytes one call allocates on this domain.  A minor collection inside
+   the bracket inflates the delta (promoted words are counted on both
+   sides), so empty the minor heap first and keep the smallest of three
+   calls: a collection-free call reports the true allocation.  The
+   cases using it run before any test spawns the pool. *)
+let alloc_bytes f =
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    Gc.minor ();
+    let a0 = Gc.allocated_bytes () in
+    f ();
+    best := Float.min !best (Gc.allocated_bytes () -. a0)
+  done;
+  !best
+
+let obs_fit_obs =
+  let rng = Stats.Rng.create 0x0B5 in
+  let truth = Mmhd.init_random rng ~n:2 ~m:5 ~loss_fraction:0.05 in
+  let obs, _ = Mmhd.simulate rng truth ~len:2000 in
+  obs.(0) <- None;
+  obs.(1) <- Some 0;
+  obs
+
+(* Every instrumentation call is compiled into the EM kernel; with
+   metrics and tracing off each is one flag check, so a fit allocates
+   less than one byte per observation-iteration, before and after a
+   traced fit has run and recorded its events. *)
+let test_disabled_fit_allocation () =
+  let restarts = 4 in
+  let fit () =
+    Mmhd.fit ~eps:1e-4 ~max_iter:5 ~restarts ~domains:1 ~rng:(Stats.Rng.create 42)
+      ~n:2 ~m:5 obs_fit_obs
+  in
+  let iterations = (snd (fit ())).Mmhd.iterations in
+  let obs_iters = float_of_int (Array.length obs_fit_obs * iterations * restarts) in
+  let per_obs_iter () = alloc_bytes (fun () -> ignore (fit ())) /. obs_iters in
+  Obs.set_enabled false;
+  Obs.Trace.set_enabled false;
+  let before = per_obs_iter () in
+  Obs.Trace.set_capacity 8192;
+  Obs.Trace.set_enabled true;
+  Obs.Trace.clear ();
+  ignore (fit ());
+  let events = Obs.Trace.emitted () in
+  Obs.Trace.set_enabled false;
+  ignore (fit ());
+  let after = per_obs_iter () in
+  Alcotest.(check bool) "traced fit records events" true (events > 0);
+  if before >= 1. || after >= 1. then
+    Alcotest.failf
+      "disabled fit allocates %.3f B per observation-iteration (%.3f B after the \
+       traced fit)"
+      before after
+
+(* Sliding-window fits, the Online.scan pattern: a workspace holds
+   scaled sweep state but no statistics, so reusing one warm workspace
+   for every window fits exactly what a fresh workspace per window
+   does. *)
+let test_warm_workspace_windows () =
+  let window = 500 and stride = 250 and n = 2 and m = 5 in
+  let windows = ((Array.length obs_fit_obs - window) / stride) + 1 in
+  let fit_windows ~fresh =
+    let warm = Em.workspace () in
+    List.init windows (fun w ->
+        let win = Array.sub obs_fit_obs (w * stride) window in
+        let t0 =
+          Mmhd.to_em (Mmhd.init_informed (Stats.Rng.create (1000 + w)) ~n ~m win)
+        in
+        let ws = if fresh then Em.workspace () else warm in
+        let model, _ = Em.fit_from ~ws ~eps:1e-3 ~max_iter:5 ~update_b:false t0 win in
+        List.map (Array.map Int64.bits_of_float) [ model.Em.pi; model.Em.a; model.Em.c ])
+  in
+  Alcotest.(check bool) "warm = fresh, bitwise" true
+    (fit_windows ~fresh:false = fit_windows ~fresh:true)
 
 (* --- degenerate restarts are skipped, not fatal ------------------------ *)
 
@@ -256,6 +345,13 @@ let test_restarts_validation () =
 let () =
   Alcotest.run "em"
     [
+      ( "instrumentation",
+        [
+          Alcotest.test_case "disabled fit allocation-free around a traced fit"
+            `Quick test_disabled_fit_allocation;
+          Alcotest.test_case "warm workspace = fresh across windows" `Quick
+            test_warm_workspace_windows;
+        ] );
       ( "parallel determinism",
         [
           Alcotest.test_case "mmhd serial = 4 domains" `Quick

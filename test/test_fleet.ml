@@ -272,6 +272,46 @@ let test_update_round_allocation () =
     Alcotest.failf "decay + append + m_step_in_place allocated %d words (> 32)"
       !worst
 
+(* Steady-state bytes per [Path_state.update] over a seeded 256-path
+   fleet, epochs 1 to 11: epoch 0 holds the informed initializations,
+   the workspace growth and the timelines' first records, which a
+   long-running path pays once.  What is left, about 1.1 KB, is mostly
+   the re-test's short-lived values; an update that built a fresh model
+   every epoch would cost ~3 KB. *)
+let test_path_update_allocation () =
+  let paths = 256 and epochs = 12 in
+  let rng = Stats.Rng.create 0xA110C in
+  let src = Fleet.Source.synthetic ~rng ~paths () in
+  let config = Fleet.Path_state.config ~scheme:(Fleet.Source.scheme src) () in
+  let states =
+    Array.init paths (fun _ -> Fleet.Path_state.create config ~rng:(Stats.Rng.split rng))
+  in
+  let ws =
+    Fleet.Workspace_cache.get ~s:(Fleet.Path_state.states config)
+      ~m:config.Fleet.Path_state.m
+  in
+  let batches =
+    Array.init epochs (fun _ ->
+        Array.init paths (fun path -> Fleet.Source.pull src ~path ~len:16))
+  in
+  let epoch e =
+    Array.iteri
+      (fun p st ->
+        ignore (Fleet.Path_state.update ~ws ~epoch:e st batches.(e).(p) : bool))
+      states
+  in
+  epoch 0;
+  let w0 = minor_words () in
+  for e = 1 to epochs - 1 do
+    epoch e
+  done;
+  let bytes =
+    float_of_int ((minor_words () - w0) * (Sys.word_size / 8))
+    /. float_of_int (paths * (epochs - 1))
+  in
+  if bytes > 2048. then
+    Alcotest.failf "steady-state update allocates %.1f B (> 2048 B)" bytes
+
 let test_timeline_record_allocation () =
   let tl = Fleet.Timeline.create ~capacity:4 in
   let update =
@@ -440,6 +480,43 @@ let test_gated_pool_determinism () =
         (Printf.sprintf "gated transition log at %d domains" domains)
         log1 log)
     [ 2; 4; 8 ]
+
+(* The flight recorder only ever reads the clock: a seeded gated fleet
+   run with tracing off and on is bit-identical, and the traced run's
+   Chrome export is valid JSON with events from every instrumented
+   seam.  256 paths under a low-threshold gate keep more than one pool
+   chunk (64 paths) promoted, so the 2-domain tick fans out and the
+   pool.* spans come from real workers. *)
+let test_trace_on_off_identical () =
+  let arm () =
+    let gate = Sketch.Gate.config ~loss_threshold:0.08 ~promote_after:1 () in
+    let _, fp, log =
+      run_fleet ~gate ~domains:2 ~paths:256 ~epochs:3 ~epoch_len:32 ~seed:0xF1EE7 ()
+    in
+    (fp, log)
+  in
+  Obs.Trace.set_enabled false;
+  let fp_off, log_off = arm () in
+  Obs.Trace.set_capacity 16384;
+  Obs.Trace.clear ();
+  Obs.Trace.set_enabled true;
+  let fp_on, log_on =
+    Fun.protect ~finally:(fun () -> Obs.Trace.set_enabled false) arm
+  in
+  Alcotest.(check string) "fingerprint" fp_off fp_on;
+  Alcotest.(check string) "transition log" log_off log_on;
+  let names =
+    List.map (fun (e : Obs.Trace.event) -> e.Obs.Trace.ev_name) (Obs.Trace.events ())
+  in
+  List.iter
+    (fun prefix ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s* events recorded" prefix)
+        true
+        (List.exists (String.starts_with ~prefix) names))
+    [ "em."; "pool."; "fleet.epoch"; "gate." ];
+  Alcotest.(check bool) "Chrome export is valid JSON" true
+    (Json_check.valid (Obs.Trace.chrome_json ()))
 
 let test_fleet_reruns_identically () =
   (* Same seed, same everything: the whole fleet is a pure function of
@@ -644,35 +721,51 @@ let gated_sched ?(gate = Sketch.Gate.config ()) ~paths () =
    count-min add and query, the EWMA update and, at the epoch's first
    push, the gate evaluation — allocates nothing once the fleet is
    warm.  The batches lose one probe in sixteen at the bottom symbols:
-   suspect on neither signal.  Runs in the "allocation" group, before
-   any test spawns the pool. *)
+   suspect on neither signal.  A promoted path's push does the same
+   work and queues its batch for the tick: one list cell, within a
+   64 B bound.  Runs in the "allocation" group, before any test spawns
+   the pool. *)
 let test_gated_quiet_push_allocation () =
   let paths = 4 in
-  let sched = gated_sched ~paths () in
-  let batch = Array.init 16 (fun i -> if i = 5 then None else Some (i mod 2)) in
-  let epoch ~measure =
-    let worst = ref 0 in
-    for p = 0 to paths - 1 do
-      (* The first push of the epoch evaluates the gate; the second
-         only folds. *)
-      for _ = 1 to 2 do
-        let w0 = minor_words () in
-        Fleet.Scheduler.push sched ~path:p batch;
-        if measure then worst := max !worst (minor_words () - w0)
-      done
+  let worst_push_words sched batch =
+    let epoch ~measure =
+      let worst = ref 0 in
+      for p = 0 to paths - 1 do
+        (* The first push of the epoch evaluates the gate; the second
+           only folds. *)
+        for _ = 1 to 2 do
+          let w0 = minor_words () in
+          Fleet.Scheduler.push sched ~path:p batch;
+          if measure then worst := max !worst (minor_words () - w0)
+        done
+      done;
+      ignore (Fleet.Scheduler.tick sched : int);
+      !worst
+    in
+    for _ = 1 to 4 do
+      ignore (epoch ~measure:false : int)
     done;
-    ignore (Fleet.Scheduler.tick sched : int);
+    let worst = ref 0 in
+    for _ = 1 to 4 do
+      worst := max !worst (epoch ~measure:true)
+    done;
     !worst
   in
-  for _ = 1 to 4 do
-    ignore (epoch ~measure:false : int)
-  done;
-  let worst = ref 0 in
-  for _ = 1 to 4 do
-    worst := max !worst (epoch ~measure:true)
-  done;
-  Alcotest.(check int) "no path promoted" 0 (Fleet.Scheduler.promoted_count sched);
-  Alcotest.(check int) "words per quiet push" 0 !worst
+  let quiet = gated_sched ~paths () in
+  let words =
+    worst_push_words quiet
+      (Array.init 16 (fun i -> if i = 5 then None else Some (i mod 2)))
+  in
+  Alcotest.(check int) "no path promoted" 0 (Fleet.Scheduler.promoted_count quiet);
+  Alcotest.(check int) "words per quiet push" 0 words;
+  let promoted =
+    gated_sched ~gate:(Sketch.Gate.config ~promote_after:1 ()) ~paths ()
+  in
+  let words = worst_push_words promoted (hot_batch 16) in
+  Alcotest.(check int) "every path promoted" paths
+    (Fleet.Scheduler.promoted_count promoted);
+  if words * (Sys.word_size / 8) > 64 then
+    Alcotest.failf "a promoted push allocates %d words (> 64 B)" words
 
 let test_gate_promotes_congested_within_h () =
   let h = 2 in
@@ -763,6 +856,64 @@ let test_gate_demotes_settled_quiet_path () =
     (Stats.Float_cmp.gt (Fleet.Path_state.weight p) 0.);
   Alcotest.(check bool) "no-dominant verdict kept" true
     (Fleet.Scheduler.conclusion sched 0 = Some Dcl.Identify.No_dominant)
+
+(* Gating on a mixed, mostly quiet fleet (2000 paths, one congested
+   template in ten, 6 epochs of 24 observations): the same stream
+   through an ungated and a gated fleet.  The gated tick's EM sweeps
+   must see at most a tenth of the observations, and its dominant-path
+   recall must stay within one path of the ungated fleet's.  The
+   wall-clock twin (gated tick >= 7x) is gated_tick in bench/gates.ml;
+   it builds the same stream and arms, and the two must stay in sync
+   (size, seeds, gate config) so both floors measure one stream. *)
+let test_gate_cuts_em_work_at_recall () =
+  let paths = 2000 and epochs = 6 and epoch_len = 24 in
+  let src =
+    Fleet.Source.synthetic ~templates:10 ~congested_fraction:0.1
+      ~rng:(Stats.Rng.create 13) ~paths ()
+  in
+  let batches =
+    Array.init paths (fun p ->
+        Array.init epochs (fun _ -> Fleet.Source.pull src ~path:p ~len:epoch_len))
+  in
+  let config = Fleet.Path_state.config ~scheme:(Fleet.Source.scheme src) () in
+  let arm gate =
+    let sched =
+      Fleet.Scheduler.create ?gate ~rng:(Stats.Rng.create 42) ~paths config
+    in
+    for e = 0 to epochs - 1 do
+      for p = 0 to paths - 1 do
+        Fleet.Scheduler.push sched ~path:p batches.(p).(e)
+      done;
+      ignore (Fleet.Scheduler.tick sched : int)
+    done;
+    let recalled = ref 0 in
+    for p = 0 to paths - 1 do
+      match (Fleet.Source.ground_truth src p, Fleet.Scheduler.conclusion sched p) with
+      | Some true, Some (Dcl.Identify.Strongly_dominant | Dcl.Identify.Weakly_dominant)
+        ->
+          incr recalled
+      | _ -> ()
+    done;
+    (sched, !recalled)
+  in
+  let dominant =
+    List.length
+      (List.filter
+         (fun p -> Fleet.Source.ground_truth src p = Some true)
+         (List.init paths Fun.id))
+  in
+  let _, recall_ungated = arm None in
+  let gated, recall_gated = arm (Some (Sketch.Gate.config ())) in
+  let gs = Option.get (Fleet.Scheduler.gate_stats gated) in
+  let total = paths * epochs * epoch_len in
+  let em_obs = total - gs.Fleet.Scheduler.sketch_only_observations in
+  Alcotest.(check bool) "the fleet has dominant paths" true (dominant > 0);
+  if 10 * em_obs > total then
+    Alcotest.failf "gated EM work %.2fx below the 10x floor"
+      (float_of_int total /. float_of_int em_obs);
+  if abs (recall_ungated - recall_gated) > 1 then
+    Alcotest.failf "gated recall %d/%d vs ungated %d/%d" recall_gated dominant
+      recall_ungated dominant
 
 (* --- workspace cache --------------------------------------------------- *)
 
@@ -973,6 +1124,8 @@ let () =
         [
           Alcotest.test_case "update round <= 32 words" `Quick
             test_update_round_allocation;
+          Alcotest.test_case "path update <= 2048 B" `Quick
+            test_path_update_allocation;
           Alcotest.test_case "gated quiet push allocates nothing" `Quick
             test_gated_quiet_push_allocation;
           Alcotest.test_case "timeline record allocates nothing" `Quick
@@ -994,6 +1147,8 @@ let () =
           Alcotest.test_case "serial = pooled at 2/4/8" `Quick test_pool_determinism;
           Alcotest.test_case "gated serial = pooled at 2/4/8" `Quick
             test_gated_pool_determinism;
+          Alcotest.test_case "trace on = trace off" `Quick
+            test_trace_on_off_identical;
           Alcotest.test_case "rerun identical" `Quick test_fleet_reruns_identically;
           Alcotest.test_case "push rejects out-of-range symbols" `Quick
             test_push_rejects_out_of_range;
@@ -1016,6 +1171,8 @@ let () =
             test_gate_loss_signal_masked_by_cms;
           Alcotest.test_case "demotes settled quiet path" `Quick
             test_gate_demotes_settled_quiet_path;
+          Alcotest.test_case "EM work >= 10x at recall within one path" `Quick
+            test_gate_cuts_em_work_at_recall;
         ] );
       ( "workspace-cache",
         [ Alcotest.test_case "keyed by shape" `Quick test_workspace_cache ] );

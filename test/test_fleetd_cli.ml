@@ -15,6 +15,8 @@ let cli_error = 124
 let check_rejected name args =
   Alcotest.(check int) name cli_error (run args)
 
+let tiny = [ "--paths"; "4"; "--epochs"; "2"; "--epoch"; "8"; "--seed"; "3" ]
+
 let test_lambda_validation () =
   check_rejected "lambda zero" [ "--lambda"; "0" ];
   check_rejected "lambda above one" [ "--lambda"; "1.5" ];
@@ -35,10 +37,25 @@ let test_congested_fraction_validation () =
   check_rejected "fraction above one" [ "--congested-fraction"; "1.5" ];
   check_rejected "fraction negative" [ "--congested-fraction"; "-0.1" ]
 
+(* A trace file that exists but cannot be replayed is rejected too: an
+   empty file, a trace with one NaN delay (it would discretize every
+   probe to symbol 0), and a trace whose delays are all equal (no range
+   to discretize). *)
 let test_source_validation () =
   check_rejected "unknown source keyword" [ "--source"; "bogus" ];
   check_rejected "nonexistent trace file"
-    [ "--source"; "no-such-trace-file.trace" ]
+    [ "--source"; "no-such-trace-file.trace" ];
+  let with_trace contents f =
+    let file = Filename.temp_file "fleetd_cli" ".trace" in
+    Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+    Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc contents);
+    f file
+  in
+  with_trace "" (fun file -> check_rejected "empty trace file" [ "--source"; file ]);
+  with_trace "dcltrace 1 0.02 0.01 1\n0.00 0.05\n0.02 nan\n0.04 L\n0.06 0.07\n"
+    (fun file -> check_rejected "trace with a NaN delay" (tiny @ [ "--source"; file ]));
+  with_trace "dcltrace 1 0.02 0.01 1\n0.00 0.05\n0.02 L\n0.04 0.05\n"
+    (fun file -> check_rejected "trace without a delay spread" (tiny @ [ "--source"; file ]))
 
 let test_gate_validation () =
   check_rejected "gate hysteresis zero" [ "--gate"; "--gate-h"; "0" ];
@@ -53,8 +70,6 @@ let test_admin_validation () =
   check_rejected "metrics interval zero" [ "--metrics-interval"; "0" ];
   check_rejected "metrics interval negative" [ "--metrics-interval"; "-2" ];
   check_rejected "linger negative" [ "--linger"; "-1" ]
-
-let tiny = [ "--paths"; "4"; "--epochs"; "2"; "--epoch"; "8"; "--seed"; "3" ]
 
 let test_valid_runs () =
   Alcotest.(check int) "tiny synthetic run" 0 (run tiny);

@@ -20,7 +20,7 @@ let test_r1_rng () =
     [ (2, "R1") ]
     (lint ~path:"lib/hmm/hmm.ml" "let x = 1\nlet y () = Random.int 7\n");
   check_diags "wall-clock seeding" [ (1, "R1") ]
-    (lint ~path:"bench/bench_em.ml" "let t0 = Unix.gettimeofday ()\n");
+    (lint ~path:"bench/gates.ml" "let t0 = Unix.gettimeofday ()\n");
   check_diags "sanctioned in rng.ml" []
     (lint ~path:"lib/stats/rng.ml" "let y () = Random.int 7\n")
 

@@ -209,6 +209,105 @@ let prop_trace_roundtrip =
           Probe.Trace.length t = Probe.Trace.length t'
           && Probe.Trace.losses t = Probe.Trace.losses t'))
 
+(* A non-finite delay or interval is rejected when the trace is built:
+   one NaN delay would turn min_delay and max_delay into NaN and slip
+   past every range check downstream. *)
+let test_trace_rejects_non_finite () =
+  let records d =
+    [| mk_record (Probe.Trace.Delay 0.1) None; mk_record (Probe.Trace.Delay d) None |]
+  in
+  let create ?(interval = 0.02) d =
+    ignore (Probe.Trace.create ~records:(records d) ~interval ~base_delay:0.05 ~hop_count:1)
+  in
+  let delay = Invalid_argument "Trace.create: non-finite delay" in
+  Alcotest.check_raises "nan delay" delay (fun () -> create Float.nan);
+  Alcotest.check_raises "inf delay" delay (fun () -> create Float.infinity);
+  Alcotest.check_raises "-inf delay" delay (fun () -> create Float.neg_infinity);
+  Alcotest.check_raises "nan interval"
+    (Invalid_argument "Trace.create: non-finite interval")
+    (fun () -> create ~interval:Float.nan 0.2);
+  Alcotest.check_raises "nan send time"
+    (Invalid_argument "Trace.create: non-finite send time")
+    (fun () ->
+      ignore
+        (Probe.Trace.create
+           ~records:[| mk_record ~t:Float.nan (Probe.Trace.Delay 0.1) None |]
+           ~interval:0.02 ~base_delay:0.05 ~hop_count:1));
+  Alcotest.check_raises "inf base delay"
+    (Invalid_argument "Trace.create: non-finite base delay")
+    (fun () ->
+      ignore
+        (Probe.Trace.create ~records:(records 0.2) ~interval:0.02 ~base_delay:Float.infinity
+           ~hop_count:1))
+
+let test_trace_load_empty_file () =
+  let file = Filename.temp_file "dcl" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Alcotest.check_raises "empty file" (Failure "Trace.load: bad header") (fun () ->
+          ignore (Probe.Trace.load file)))
+
+(* Property: a saved trace, truncated, with one token swapped for
+   nan/inf/-/empty, or emptied, either loads with the interval, the base
+   delay, every send time and every delay finite, or is rejected with
+   Failure or Invalid_argument — never another exception.  The
+   ground-truth fields are not checked. *)
+type mutation = Truncate of int | Swap of int * int * string | Empty
+
+let mutate text = function
+  | Empty -> ""
+  | Truncate k -> String.sub text 0 (k mod (String.length text + 1))
+  | Swap (l, k, tok) ->
+      let lines = Array.of_list (String.split_on_char '\n' text) in
+      let l = l mod Array.length lines in
+      let fields = Array.of_list (String.split_on_char ' ' lines.(l)) in
+      fields.(k mod Array.length fields) <- tok;
+      lines.(l) <- String.concat " " (Array.to_list fields);
+      String.concat "\n" (Array.to_list lines)
+
+let mutation_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun k -> Truncate k) nat);
+        ( 6,
+          map3
+            (fun l k tok -> Swap (l, k, tok))
+            nat nat
+            (oneofl [ "nan"; "inf"; "-"; "" ]) );
+        (1, return Empty);
+      ])
+
+let print_mutation = function
+  | Empty -> "empty file"
+  | Truncate k -> Printf.sprintf "truncate at %d" k
+  | Swap (l, k, tok) -> Printf.sprintf "line %d token %d := %S" l k tok
+
+let prop_trace_load_fuzz =
+  QCheck.Test.make ~name:"trace load fails closed on mutated files" ~count:300
+    (QCheck.make
+       ~print:(fun (_, m) -> print_mutation m)
+       (QCheck.Gen.pair trace_gen mutation_gen))
+    (fun (t, mutation) ->
+      let file = Filename.temp_file "dclf" ".trace" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove file)
+        (fun () ->
+          Probe.Trace.save t file;
+          let text = In_channel.with_open_bin file In_channel.input_all in
+          Out_channel.with_open_bin file (fun oc ->
+              Out_channel.output_string oc (mutate text mutation));
+          match Probe.Trace.load file with
+          | t' ->
+              Float.is_finite t'.Probe.Trace.interval
+              && Float.is_finite t'.Probe.Trace.base_delay
+              && Array.for_all
+                   (fun (r : Probe.Trace.record) -> Float.is_finite r.send_time)
+                   t'.Probe.Trace.records
+              && Array.for_all Float.is_finite (Probe.Trace.observed_delays t')
+          | exception (Failure _ | Invalid_argument _) -> true))
+
 (* --- Prober ------------------------------------------------------------ *)
 
 let test_prober_count_and_order () =
@@ -289,7 +388,8 @@ let test_losspair_no_losses () =
   Alcotest.(check (option (float 0.))) "no estimate" None
     (Probe.Losspair.estimate_max_queuing_delay lp)
 
-let qcheck_cases = List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_trace_roundtrip ]
+let qcheck_cases =
+  List.map (fun t -> QCheck_alcotest.to_alcotest t) [ prop_trace_roundtrip; prop_trace_load_fuzz ]
 
 let () =
   Alcotest.run "probe"
@@ -309,6 +409,8 @@ let () =
           Alcotest.test_case "sub" `Quick test_trace_sub;
           Alcotest.test_case "random segment" `Quick test_trace_random_segment;
           Alcotest.test_case "save/load roundtrip" `Quick test_trace_save_load_roundtrip;
+          Alcotest.test_case "rejects non-finite" `Quick test_trace_rejects_non_finite;
+          Alcotest.test_case "load empty file" `Quick test_trace_load_empty_file;
         ] );
       ( "prober",
         [
