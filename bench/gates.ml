@@ -23,20 +23,33 @@ let report name ~ok fmt =
       Printf.printf "%-5s %s: %s\n%!" (if ok then "ok" else "FATAL") name detail)
     fmt
 
-let median xs =
-  let a = Array.of_list xs in
+let median a =
+  let a = Array.copy a in
   Array.sort Float.compare a;
   a.(Array.length a / 2)
+
+(* Time every leg once per round, rotating which goes first, over an
+   untimed warm round 0 and [rounds] timed ones; returns the timed
+   rounds' seconds, [times.(round).(leg)].  A gate reads the median of
+   per-round ratios, so a slow phase of the machine spoils a round, not
+   a leg. *)
+let interleaved ~rounds legs =
+  let k = Array.length legs in
+  let times = Array.make_matrix (rounds + 1) k 0. in
+  for round = 0 to rounds do
+    for j = 0 to k - 1 do
+      let i = (round + j) mod k in
+      times.(round).(i) <- legs.(i) ()
+    done
+  done;
+  Array.sub times 1 rounds
 
 (* --- instrumentation overhead ---------------------------------------
 
    One serial MMHD fit (T = 2000, n = 2, m = 5, 4 restarts, 5
    iterations) with collection disabled, with metrics enabled, and with
-   the flight recorder enabled.  Each round times the three back to
-   back, rotating which goes first, and yields one enabled/disabled and
-   one traced/disabled ratio; the gate reads the median ratio over the
-   rounds.  A slow phase of the machine then spoils a round, not a
-   leg.  Round 0 warms every mode untimed. *)
+   the flight recorder enabled, [interleaved]: each round yields one
+   enabled/disabled and one traced/disabled ratio. *)
 
 let obs_rounds = 15
 
@@ -53,45 +66,35 @@ let obs_overhead () =
          ~rng:(Stats.Rng.create 42) ~n ~m obs)
   in
   Obs.Trace.set_capacity 8192;
-  (* (metrics, trace) per leg: disabled, enabled, traced. *)
-  let legs = [| (false, false); (true, false); (false, true) |] in
-  let secs = Array.make 3 0. in
-  let enabled = ref [] and traced = ref [] in
-  for round = 0 to obs_rounds do
-    for k = 0 to 2 do
-      let i = (round + k) mod 3 in
-      let metrics, trace = legs.(i) in
-      Obs.set_enabled metrics;
-      Obs.Trace.set_enabled trace;
-      secs.(i) <- snd (time_of fit)
-    done;
-    if round > 0 then begin
-      enabled := (secs.(1) /. secs.(0)) -. 1. :: !enabled;
-      traced := (secs.(2) /. secs.(0)) -. 1. :: !traced
-    end
-  done;
+  let leg metrics trace () =
+    Obs.set_enabled metrics;
+    Obs.Trace.set_enabled trace;
+    snd (time_of fit)
+  in
+  (* (metrics, trace): disabled, enabled, traced. *)
+  let legs = [| leg false false; leg true false; leg false true |] in
+  let times = interleaved ~rounds:obs_rounds legs in
   Obs.set_enabled false;
   Obs.Trace.set_enabled false;
   List.iter
-    (fun (name, ratios) ->
-      let overhead = median ratios in
+    (fun (name, k) ->
+      let overhead = median (Array.map (fun t -> (t.(k) /. t.(0)) -. 1.) times) in
       report name ~ok:(overhead < 0.05)
         "%+.2f%% (median of %d rounds, bound 5%%)" (100. *. overhead) obs_rounds)
-    [
-      ("metrics-enabled overhead", !enabled);
-      ("tracing-enabled overhead", !traced);
-    ]
+    [ ("metrics-enabled overhead", 1); ("tracing-enabled overhead", 2) ]
 
 (* --- sketch-gated tick ----------------------------------------------
 
    One pre-generated, mostly quiet stream (2000 paths, one congested
    template in ten, 6 epochs of 24 observations) through an ungated and
-   a gated fleet; the gate must cut the tick's wall time at least 7x.
-   Each arm keeps the fastest of three runs, each after a full major
-   collection.  The deterministic counterpart, EM work >= 10x at equal
-   recall, is test_gate_cuts_em_work_at_recall in test/test_fleet.ml; it
-   builds the same stream and arms, and the two must stay in sync (size,
+   a gated fleet, [interleaved], each run after a full major
+   collection; the median ungated/gated ratio must be at least 7x.  The
+   deterministic counterpart, EM work >= 10x at equal recall, is
+   test_gate_cuts_em_work_at_recall in test/test_fleet.ml; it builds
+   the same stream and arms, and the two must stay in sync (size,
    seeds, gate config) so both floors measure one stream. *)
+
+let tick_rounds = 7
 
 let gated_tick () =
   let paths = 2000 and epochs = 6 and epoch_len = 24 in
@@ -104,7 +107,7 @@ let gated_tick () =
         Array.init epochs (fun _ -> Fleet.Source.pull src ~path:p ~len:epoch_len))
   in
   let config = Fleet.Path_state.config ~scheme:(Fleet.Source.scheme src) () in
-  let tick_seconds gate =
+  let tick_seconds gate () =
     Gc.full_major ();
     let sched =
       Fleet.Scheduler.create ?gate ~rng:(Stats.Rng.create 42) ~paths config
@@ -118,15 +121,15 @@ let gated_tick () =
     done;
     !total
   in
-  let best gate =
-    List.fold_left Float.min infinity (List.init 3 (fun _ -> tick_seconds gate))
+  let times =
+    interleaved ~rounds:tick_rounds
+      [| tick_seconds None; tick_seconds (Some (Sketch.Gate.config ())) |]
   in
-  let ungated = best None in
-  let gated = best (Some (Sketch.Gate.config ())) in
-  let ratio = ungated /. gated in
+  let ratio = median (Array.map (fun t -> t.(0) /. t.(1)) times) in
+  let ms k = 1e3 *. median (Array.map (fun t -> t.(k)) times) in
   report "gated tick speedup" ~ok:(ratio >= 7.)
-    "%.2fx (%.1f ms ungated, %.1f ms gated, floor 7x)" ratio (1e3 *. ungated)
-    (1e3 *. gated)
+    "%.2fx (median of %d rounds; %.1f ms ungated, %.1f ms gated; floor 7x)"
+    ratio tick_rounds (ms 0) (ms 1)
 
 (* --- incremental update vs per-epoch refit --------------------------
 
@@ -134,7 +137,9 @@ let gated_tick () =
    streaming scheduler, one online-EM iteration and re-test per epoch,
    and through the classical alternative: refit the MMHD from an
    informed start on the whole history every epoch, skipping the
-   re-test, which only flatters the refit. *)
+   re-test, which only flatters the refit.  A full major collection
+   first, so the gated tick's garbage is not swept inside the short
+   incremental leg. *)
 
 let incremental_vs_refit () =
   let paths = 12 and epochs = 5 and epoch_len = 32 and n = 2 and m = 5 in
@@ -145,6 +150,7 @@ let incremental_vs_refit () =
   in
   let config = Fleet.Path_state.config ~n ~scheme:(Fleet.Source.scheme src) () in
   let sched = Fleet.Scheduler.create ~rng:(Stats.Rng.create 42) ~paths config in
+  Gc.full_major ();
   let (), incremental =
     time_of (fun () ->
         for e = 0 to epochs - 1 do

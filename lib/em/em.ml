@@ -89,6 +89,15 @@ let domain_ws_key =
 (* lint: allow R2 reads the calling domain's own workspace cell *)
 let domain_ws () = Domain.DLS.get domain_ws_key
 
+let rec symbols_from ~m batch i =
+  i >= Array.length batch
+  ||
+  match Array.unsafe_get batch i with
+  | Some j when j < 0 || j >= m -> false
+  | Some _ | None -> symbols_from ~m batch (i + 1)
+
+let valid_symbols ~m batch = symbols_from ~m batch 0
+
 let check_obs name obs =
   if Array.length obs = 0 then invalid_arg (name ^ ": empty observation sequence")
 

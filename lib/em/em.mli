@@ -50,7 +50,12 @@ type model = Em_kernel.model = {
 }
 
 type observation = int option
-(** [Some j]: delay symbol [j] observed; [None]: probe lost. *)
+(** [Some j]: delay symbol [j] observed; [None]: probe lost.  The
+    observation type of every layer, {!Hmm} and {!Mmhd} included. *)
+
+val valid_symbols : m:int -> observation array -> bool
+(** Every [Some j] of the batch has [0 <= j < m]: the fleet's check
+    before a batch changes any state.  One pass; allocates nothing. *)
 
 type fit_stats = {
   iterations : int;

@@ -134,20 +134,9 @@ let retest t =
         t.conclusion <- some_conclusion v.Dcl.Identify.conclusion;
         t.bound <- v.Dcl.Identify.bound
 
-(* Every symbol inside the scheme's [0, m): checked before a batch
-   touches any path state. *)
-let rec symbols_below m batch i =
-  i >= Array.length batch
-  ||
-  match Array.unsafe_get batch i with
-  | Some j when j < 0 || j >= m -> false
-  | Some _ | None -> symbols_below m batch (i + 1)
-
-let valid_batch cfg batch = symbols_below cfg.m batch 0
-
 let update ~ws ?epoch t batch =
   let len = Array.length batch in
-  if not (valid_batch t.config batch) then
+  if not (Em.valid_symbols ~m:t.config.m batch) then
     invalid_arg "Fleet.Path_state.update: observation symbol outside [0, m)";
   if len = 0 then false
   else begin

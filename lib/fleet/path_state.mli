@@ -72,10 +72,8 @@ val update : ws:Em.workspace -> ?epoch:int -> t -> Em.observation array -> bool
     to the path's {!timeline}, stamped with [epoch] (the scheduler's
     fleet epoch) when given, the path's own update count otherwise.
     Raises [Invalid_argument] on a symbol outside the scheme's
-    [\[0, m)] ({!valid_batch}), before the path changes in any way. *)
-
-val valid_batch : config -> Em.observation array -> bool
-(** Every [Some j] in the batch has [0 <= j < m]. *)
+    [\[0, m)] ({!Em.valid_symbols}), before the path changes in any
+    way. *)
 
 val coast : t -> factor:float -> unit
 (** Apply the decay the path missed while it was not being updated

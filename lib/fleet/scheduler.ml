@@ -253,7 +253,7 @@ let push t ~path batch =
     invalid_arg "Fleet.Scheduler.push: path index out of range";
   (* Rejected here, on the caller's domain, before the sketch folds the
      batch or a pooled update decays the path's statistics. *)
-  if not (Path_state.valid_batch t.config batch) then
+  if not (Em.valid_symbols ~m:t.config.Path_state.m batch) then
     invalid_arg "Fleet.Scheduler.push: observation symbol outside [0, m)";
   if Array.length batch > 0 then
     match t.gating with

@@ -8,7 +8,7 @@
     has delay symbol [j] with probability [b.(i).(j)]; a probe whose
     delay symbol is [j] is lost (observed as missing) with probability
     [c.(j)].  The observable is therefore either [Some j] (delay
-    symbol) or [None] (loss). *)
+    symbol) or [None] (loss), an {!Em.observation}. *)
 
 type t = {
   n : int;
@@ -18,9 +18,6 @@ type t = {
   b : float array array;  (** symbol emission per state, [n]×[m] *)
   c : float array;  (** [c.(j)] = P(loss | symbol [j]), length [m] *)
 }
-
-type observation = int option
-(** [Some j]: delay symbol [j] observed; [None]: probe lost. *)
 
 type fit_stats = Em.fit_stats = {
   iterations : int;
@@ -37,7 +34,7 @@ val init_random : Stats.Rng.t -> n:int -> m:int -> loss_fraction:float -> t
     zero, and [c.(j)] set near [loss_fraction] (the empirical loss rate
     of the trace) so the first E-step is well conditioned. *)
 
-val init_informed : Stats.Rng.t -> n:int -> m:int -> observation array -> t
+val init_informed : Stats.Rng.t -> n:int -> m:int -> Em.observation array -> t
 (** Data-driven starting point: emissions from the observed symbol
     frequencies and [c] from attributing each loss to its nearest
     surviving neighbour's symbol ({!Em.neighbor_attribution}).  {!fit}
@@ -47,15 +44,15 @@ val validate : t -> unit
 (** Raises [Invalid_argument] unless all parameter blocks are
     stochastic / probabilities. *)
 
-val log_likelihood : t -> observation array -> float
+val log_likelihood : t -> Em.observation array -> float
 
-val viterbi : t -> observation array -> int array * float
+val viterbi : t -> Em.observation array -> int array * float
 (** Most likely hidden-state sequence given the observations (losses
     handled through the missing-value emission) and its log
     probability: {!Em.viterbi} on {!to_em}.  A diagnostic tool: e.g.
     segmenting a trace into calm/congested phases. *)
 
-val state_posteriors : t -> observation array -> float array array
+val state_posteriors : t -> Em.observation array -> float array array
 (** [gamma.(t).(i)] = P(hidden state [i] at time [t] | observations),
     computed by scaled forward–backward.  For tests and diagnostics. *)
 
@@ -67,7 +64,7 @@ val fit :
   rng:Stats.Rng.t ->
   n:int ->
   m:int ->
-  observation array ->
+  Em.observation array ->
   t * fit_stats
 (** Baum–Welch EM handling missing values.  Iterates until the largest
     absolute parameter change drops below [eps] (default 1e-3, the
@@ -85,7 +82,7 @@ val fit_from :
   ?eps:float ->
   ?max_iter:int ->
   t ->
-  observation array ->
+  Em.observation array ->
   t * fit_stats
 (** EM from an explicit starting point. *)
 
@@ -93,12 +90,12 @@ val to_em : t -> Em.model
 (** The flattened {!Em} view of the model ([s = n] states); exposed so
     benchmarks and tests can drive the shared kernel directly. *)
 
-val virtual_delay_pmf : t -> observation array -> float array
+val virtual_delay_pmf : t -> Em.observation array -> float array
 (** Equation (5): [P(Y = j | loss)] — the posterior delay-symbol
     distribution of the lost probes, averaged over all loss instants of
     the sequence.  Requires at least one loss.  This is the
     distribution the hypothesis tests consume. *)
 
-val simulate : Stats.Rng.t -> t -> len:int -> observation array * int array
+val simulate : Stats.Rng.t -> t -> len:int -> Em.observation array * int array
 (** Draw a sequence from the model; returns (observations, hidden
     states).  Used by tests to check parameter recovery. *)

@@ -6,8 +6,6 @@ type t = {
   c : float array;
 }
 
-type observation = int option
-
 type fit_stats = Em.fit_stats = {
   iterations : int;
   log_likelihood : float;

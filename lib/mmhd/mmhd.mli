@@ -21,8 +21,6 @@ type t = {
   c : float array;  (** [c.(y)] = P(loss | delay symbol [y]) *)
 }
 
-type observation = int option
-
 type fit_stats = Em.fit_stats = {
   iterations : int;
   log_likelihood : float;
@@ -44,7 +42,7 @@ val init_random : Stats.Rng.t -> n:int -> m:int -> loss_fraction:float -> t
 (** The paper's initialization: random stochastic transition matrix,
     near-uniform [pi], and [c] seeded at the empirical loss rate. *)
 
-val init_informed : Stats.Rng.t -> n:int -> m:int -> observation array -> t
+val init_informed : Stats.Rng.t -> n:int -> m:int -> Em.observation array -> t
 (** Data-driven starting point: transitions from the observed symbol
     bigrams, [pi] from the symbol frequencies, and [c] from attributing
     each loss to its nearest surviving neighbour's symbol
@@ -54,9 +52,9 @@ val init_informed : Stats.Rng.t -> n:int -> m:int -> observation array -> t
     this starting point. *)
 
 val validate : t -> unit
-val log_likelihood : t -> observation array -> float
+val log_likelihood : t -> Em.observation array -> float
 
-val viterbi : t -> observation array -> int array * float
+val viterbi : t -> Em.observation array -> int array * float
 (** Most likely state sequence (flattened [(hidden, symbol)] states)
     given the observations, and its log probability: {!Em.viterbi} on
     {!to_em}, whose indicator emission confines an observed instant to
@@ -65,7 +63,7 @@ val viterbi : t -> observation array -> int array * float
     virtual delay symbol — a point estimate complementing the Eq. (5)
     posterior. *)
 
-val state_posteriors : t -> observation array -> float array array
+val state_posteriors : t -> Em.observation array -> float array array
 (** [gamma.(t).(s)] = P(state [s] at [t] | observations). *)
 
 val fit :
@@ -76,7 +74,7 @@ val fit :
   rng:Stats.Rng.t ->
   n:int ->
   m:int ->
-  observation array ->
+  Em.observation array ->
   t * fit_stats
 (** EM (Appendix B) until the largest parameter change drops below
     [eps] (default 1e-3) or [max_iter] (default 300).  [restarts] (default 2)
@@ -93,7 +91,7 @@ val fit_from :
   ?eps:float ->
   ?max_iter:int ->
   t ->
-  observation array ->
+  Em.observation array ->
   t * fit_stats
 
 val to_em : t -> Em.model
@@ -101,7 +99,7 @@ val to_em : t -> Em.model
     indicator emission matrix); exposed so benchmarks and tests can
     drive the shared kernel directly. *)
 
-val virtual_delay_pmf : t -> observation array -> float array
+val virtual_delay_pmf : t -> Em.observation array -> float array
 (** Equation (5): [P(Y = j | loss)].  Requires at least one loss. *)
 
-val simulate : Stats.Rng.t -> t -> len:int -> observation array * int array
+val simulate : Stats.Rng.t -> t -> len:int -> Em.observation array * int array

@@ -340,6 +340,36 @@ let test_timeline_record_allocation () =
   done;
   Alcotest.(check int) "words allocated by 30 records" 0 (minor_words () - w0)
 
+(* Trace replay copies the shared symbolized trace into the fresh
+   batch: the batch's header and [len] fields are the whole cost of a
+   pull, across the wrap-around too (a 53-probe trace, 16-probe
+   pulls). *)
+let test_trace_pull_allocation () =
+  let records =
+    Array.init 53 (fun i ->
+        let obs =
+          if i mod 7 = 3 then Probe.Trace.Lost
+          else Probe.Trace.Delay (0.1 +. (0.001 *. float_of_int (i mod 11)))
+        in
+        Probe.Trace.{ send_time = 0.02 *. float_of_int i; obs; truth = None })
+  in
+  let trace =
+    Probe.Trace.create ~records ~interval:0.02 ~base_delay:0.1 ~hop_count:2
+  in
+  let src = Fleet.Source.of_trace ~paths:3 trace in
+  let len = 16 in
+  for round = 1 to 8 do
+    for path = 0 to 2 do
+      let w0 = minor_words () in
+      let batch = Fleet.Source.pull src ~path ~len in
+      let words = minor_words () - w0 in
+      Alcotest.(check int)
+        (Printf.sprintf "round %d path %d: words per pull" round path)
+        (len + 1) words;
+      Alcotest.(check int) "batch length" len (Array.length batch)
+    done
+  done
+
 (* --- decay ------------------------------------------------------------- *)
 
 let test_decay_scales_everything () =
@@ -915,6 +945,46 @@ let test_gate_cuts_em_work_at_recall () =
     Alcotest.failf "gated recall %d/%d vs ungated %d/%d" recall_gated dominant
       recall_ungated dominant
 
+(* --- accuracy at convergence -------------------------------------------
+
+   The setting EXPERIMENTS.md quotes for convergence: the fleet of
+   [dcl-fleetd --paths 200 --epochs 60 --epoch 64 --lambda 0.97 --seed 1]
+   (synthetic source, default templates, n = 2, one domain).  A false
+   alarm is a path of a balanced (no-DCL) template that tests dominant.
+   The floors are the values the fleet read when this test was added:
+   189/200 paths agree with their template and 11 balanced paths test
+   dominant.  Shorter epochs and a shorter memory do much worse
+   (perfbench fleet-dense, 16-observation epochs at lambda 0.9, reads a
+   false-alarm share of 0.35-0.41); that is a known limitation, not a
+   floor. *)
+let test_converged_agreement_and_false_alarms () =
+  let paths = 200 and epochs = 60 and epoch_len = 64 in
+  let rng = Stats.Rng.create 1 in
+  let src = Fleet.Source.synthetic ~rng ~paths () in
+  let config =
+    Fleet.Path_state.config ~lambda:0.97 ~scheme:(Fleet.Source.scheme src) ()
+  in
+  let sched = Fleet.Scheduler.create ~rng ~paths config in
+  for _ = 1 to epochs do
+    for p = 0 to paths - 1 do
+      Fleet.Scheduler.push sched ~path:p
+        (Fleet.Source.pull src ~path:p ~len:epoch_len)
+    done;
+    ignore (Fleet.Scheduler.tick sched : int)
+  done;
+  let agree = ref 0 and false_alarms = ref 0 in
+  for p = 0 to paths - 1 do
+    match (Fleet.Source.ground_truth src p, Fleet.Scheduler.conclusion sched p) with
+    | Some truth, Some concl ->
+        let dominant = concl <> Dcl.Identify.No_dominant in
+        if dominant = truth then incr agree else if dominant then incr false_alarms
+    | _ -> ()
+  done;
+  if !agree < 189 then
+    Alcotest.failf "ground-truth agreement %d/%d below the 189 floor" !agree paths;
+  if !false_alarms > 11 then
+    Alcotest.failf "%d false alarms above the ceiling of 11" !false_alarms
+
 (* --- workspace cache --------------------------------------------------- *)
 
 let test_workspace_cache () =
@@ -1130,6 +1200,8 @@ let () =
             test_gated_quiet_push_allocation;
           Alcotest.test_case "timeline record allocates nothing" `Quick
             test_timeline_record_allocation;
+          Alcotest.test_case "trace-replay pull allocates only the batch" `Quick
+            test_trace_pull_allocation;
         ] );
       ( "decay",
         [
@@ -1173,6 +1245,11 @@ let () =
             test_gate_demotes_settled_quiet_path;
           Alcotest.test_case "EM work >= 10x at recall within one path" `Quick
             test_gate_cuts_em_work_at_recall;
+        ] );
+      ( "accuracy",
+        [
+          Alcotest.test_case "agreement and false alarms at convergence" `Quick
+            test_converged_agreement_and_false_alarms;
         ] );
       ( "workspace-cache",
         [ Alcotest.test_case "keyed by shape" `Quick test_workspace_cache ] );
